@@ -66,29 +66,44 @@ def bench_profile(n: int, shape: str = DEFAULT_SHAPE) -> ChainProfile:
     )
 
 
+def _solve_once(g) -> int:
+    # The outputs are freed before this returns, inside the timed region,
+    # so no run pays for releasing the previous run's structures.
+    return len(grundy_chain(recognize_chain(g)))
+
+
 def run_bench(sizes=DEFAULT_SIZES, repeats: int = 5, shape: str = DEFAULT_SHAPE) -> list[BenchRow]:
     """Median wall time of recognize_chain + grundy_chain per size.
 
-    Instance construction happens once per size, outside the timed region.
+    Instances are built once, outside the timed region. Repeats run in
+    rounds that time every size once, so a drift in CPU speed lands on all
+    sizes alike instead of on one size's whole block of repeats; the
+    doubling ratios compare times taken close together.
     """
-    rows = []
-    for n in sizes:
-        g = chain_from_profile(bench_profile(n, shape))
-        times = []
-        gamma = 0
-        for _ in range(repeats):
+    graphs = [chain_from_profile(bench_profile(n, shape)) for n in sizes]
+    times: list[list[float]] = [[] for _ in graphs]
+    gammas = [0] * len(graphs)
+    for _ in range(repeats):
+        for i, g in enumerate(graphs):
             start = time.perf_counter()
-            cs = recognize_chain(g)
-            seq = grundy_chain(cs)
-            times.append((time.perf_counter() - start) * 1000.0)
-            gamma = len(seq)
-        rows.append(BenchRow(n, statistics.median(times), tuple(times), gamma))
-    return rows
+            gammas[i] = _solve_once(g)
+            times[i].append((time.perf_counter() - start) * 1000.0)
+    return [
+        BenchRow(n, statistics.median(t), tuple(t), gamma)
+        for n, t, gamma in zip(sizes, times, gammas)
+    ]
 
 
 def doubling_ratios(rows: list[BenchRow]) -> list[float]:
-    """Time ratios between consecutive rows (sizes are assumed to double)."""
+    """Time ratios between consecutive rows (sizes are assumed to double).
+
+    Each ratio is the median, over the rounds of run_bench, of the two
+    sizes' times in the same round. The sizes of one round are timed back
+    to back, so a drift in CPU speed from one round to the next cancels
+    out of every ratio.
+    """
     out = []
     for prev, cur in zip(rows, rows[1:]):
-        out.append(cur.median_ms / prev.median_ms if prev.median_ms > 0 else float("inf"))
+        ratios = [c / p for p, c in zip(prev.times_ms, cur.times_ms) if p > 0]
+        out.append(statistics.median(ratios) if ratios else float("inf"))
     return out

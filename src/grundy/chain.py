@@ -1,13 +1,19 @@
 """Chain graphs: recognition, twin partition, and the fast solvers.
 
 A chain graph is a bipartite graph whose one side's neighborhoods form a
-containment chain (then both sides' do). Recognition sorts one side by
-degree, since nesting forces degree order, and verifies containment only
+containment chain (then both sides' do). Recognition runs no BFS. One
+degree pass finds a vertex of maximum degree; in a chain graph without
+isolated vertices it is adjacent to a whole side, so its neighborhood and
+the rest are the two candidate sides. A bucket sort by degree orders the
+rest, since nesting forces degree order, and containment is verified only
 between consecutive vertices; equal-degree vertices must have identical
-neighborhoods. That is linear in the number of edges after an O(n + maxdeg)
-bucket sort, and it simultaneously yields the open-twin partition
-X_1..X_k / Y_1..Y_k because classes are exactly the equal-neighborhood runs
-(equivalently, within a chain graph, the equal-degree runs).
+neighborhoods. That scan and one degree sum prove the split is a
+2-colouring (recognize_chain gives the argument), so the whole test is
+linear in the number of edges. It simultaneously yields the open-twin
+partition X_1..X_k / Y_1..Y_k, because classes are exactly the
+equal-neighborhood runs (equivalently, within a chain graph, the
+equal-degree runs). Only a rejected graph is 2-coloured by BFS, so that
+the reason and witness pair come from the BFS sides.
 
 grundy_chain evaluates a (k+1)-entry score table over the twin partition,
 picks a maximizing index, and emits the corresponding concatenation of
@@ -17,7 +23,10 @@ returning a wrong answer.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 from .errors import (
     IsolatedVertexError,
@@ -67,40 +76,71 @@ class ChainStructure:
 
 
 def _subset_sorted(small, big) -> bool:
+    # Merge walk that bisects past runs of big absent from small, so a
+    # small row inside a huge one costs O(len(small) log len(big)).
     i = 0
     limit = len(big)
     for v in small:
-        while i < limit and big[i] < v:
-            i += 1
+        if i < limit and big[i] != v:
+            i = bisect_left(big, v, i)
         if i == limit or big[i] != v:
             return False
         i += 1
     return True
 
 
-def _side_by_degree(g: Graph, side: frozenset[int], descending: bool) -> list[int]:
-    """Bucket sort one side by degree, ties by vertex index ascending."""
-    members = sorted(side)
-    adj = g.adjacency
-    maxdeg = 0
+def _degree_runs(members: Sequence[int], deg: list[int]) -> list[list[int]]:
+    """Bucket sort vertices by degree: one list per degree present, in
+    ascending degree, each keeping the order of members.
+
+    Linear in len(members): only the k distinct degrees are sorted, and
+    k(k+1)/2 <= 2m keeps that sort sublinear in the edge count.
+    """
+    buckets: dict[int, list[int]] = {}
     for v in members:
-        d = len(adj[v])
-        if d > maxdeg:
-            maxdeg = d
-    buckets: list[list[int] | None] = [None] * (maxdeg + 1)
-    for v in members:
-        d = len(adj[v])
-        bucket = buckets[d]
-        if bucket is None:
-            buckets[d] = [v]
-        else:
-            bucket.append(v)
-    order: list[int] = []
-    iterable = reversed(buckets) if descending else buckets
-    for bucket in iterable:
-        if bucket:
-            order.extend(bucket)
-    return order
+        try:
+            buckets[deg[v]].append(v)
+        except KeyError:
+            buckets[deg[v]] = [v]
+    return [buckets[d] for d in sorted(buckets)]
+
+
+def _check_nested(adj, runs: list[list[int]]) -> None:
+    """Raise NotChainGraphError unless every run's rows are equal and each
+    run's row is contained in the next one's.
+
+    This is the consecutive-containment scan over the degree order, run by
+    run: the witness is the first adjacent pair in that order that fails.
+    """
+    prev = -1
+    prev_row: Sequence[int] = ()
+    for run in runs:
+        rows = list(map(adj.__getitem__, run))
+        row = rows[0]
+        if prev >= 0 and not _subset_sorted(prev_row, row):
+            raise NotChainGraphError("incomparable neighborhoods", (prev, run[0]))
+        if rows.count(row) != len(rows):
+            bad = next(i for i, other in enumerate(rows) if other != row)
+            raise NotChainGraphError("incomparable neighborhoods", (run[bad - 1], run[bad]))
+        prev, prev_row = run[-1], row
+
+
+def _hub_split(g: Graph, deg: list[int]) -> tuple[list[int], Sequence[int]]:
+    """Split V into the rest and N(hub), hub the lowest-index vertex of
+    maximum degree; both parts come out in ascending order.
+
+    The split is only a candidate 2-colouring until recognize_chain has
+    proven it. The hub itself lies in the rest.
+    """
+    hub_row = g.adjacency[deg.index(max(deg))]
+    rest: list[int] = []
+    lo = 0
+    for u in hub_row:
+        if u != lo:
+            rest.extend(range(lo, u))
+        lo = u + 1
+    rest.extend(range(lo, g.n))
+    return rest, hub_row
 
 
 def recognize_chain(g: Graph) -> ChainStructure:
@@ -109,52 +149,60 @@ def recognize_chain(g: Graph) -> ChainStructure:
     Raises IsolatedVertexError on isolated vertices (a precondition) and
     NotChainGraphError otherwise, carrying a witness pair of same-side
     vertices with incomparable neighborhoods when that is the cause.
+
+    The sides come from one degree pass, not a BFS. In a chain graph with
+    no isolated vertex, a vertex of maximum degree (the hub) is adjacent to
+    a whole side, so N(hub) and the rest H are the candidate sides. The
+    containment scan over H nests every H row into the row of its last
+    degree run, and that run holds the hub, so the row is N(hub): no edge
+    joins two vertices of H. The degrees over H then sum to the edge count
+    only if no edge joins two vertices of N(hub) either. Every vertex of
+    N(hub) touches the hub, so a proven split is connected, hence the
+    unique 2-colouring, the one graph.bipartition finds; X is the side
+    holding vertex 0, as there. H nested makes the other side nested too,
+    so its degree runs are its twin classes without a second scan. When a
+    check fails, the BFS sides name the rejection: "not bipartite" on an
+    odd cycle, else the scan over their X side reports its first
+    incomparable pair.
     """
     if g.n == 0:
         raise NotChainGraphError("empty graph")
     adj = g.adjacency
-    for v in range(g.n):
-        if not adj[v]:
-            raise IsolatedVertexError(v, "chain recognition requires none")
-    sides = bipartition(g)
-    if sides is None:
-        raise NotChainGraphError("not bipartite")
+    deg = list(map(len, adj))
+    if 0 in deg:
+        raise IsolatedVertexError(deg.index(0), "chain recognition requires none")
 
-    x_order = _side_by_degree(g, sides.side_x, descending=False)
-    # Consecutive containment along the degree order proves the whole chain;
-    # part boundaries fall out of the same pass.
-    x_parts: list[tuple[int, ...]] = []
-    part = [x_order[0]]
-    for pos in range(1, len(x_order)):
-        prev, cur = x_order[pos - 1], x_order[pos]
-        row_prev, row_cur = adj[prev], adj[cur]
-        if len(row_prev) == len(row_cur):
-            if row_prev is row_cur or row_prev == row_cur:
-                part.append(cur)
-                continue
-            raise NotChainGraphError("incomparable neighborhoods", (prev, cur))
-        if not _subset_sorted(row_prev, row_cur):
-            raise NotChainGraphError("incomparable neighborhoods", (prev, cur))
-        x_parts.append(tuple(part))
-        part = [cur]
-    x_parts.append(tuple(part))
+    rest, hub_row = _hub_split(g, deg)
+    rest_runs = _degree_runs(rest, deg)
+    try:
+        _check_nested(adj, rest_runs)
+    except NotChainGraphError:
+        proven = False
+    else:
+        proven = sum(deg[run[0]] * len(run) for run in rest_runs) == g.edge_count
+    if proven:
+        hub_runs = _degree_runs(hub_row, deg)
+        x_runs, y_runs = (rest_runs, hub_runs) if rest[0] == 0 else (hub_runs, rest_runs)
+    else:
+        sides = bipartition(g)
+        if sides is None:
+            raise NotChainGraphError("not bipartite")
+        x_runs = _degree_runs(sorted(sides.side_x), deg)
+        _check_nested(adj, x_runs)
+        y_runs = _degree_runs(sorted(sides.side_y), deg)
 
-    y_order = _side_by_degree(g, sides.side_y, descending=True)
-    y_parts: list[tuple[int, ...]] = []
-    part = [y_order[0]]
-    for pos in range(1, len(y_order)):
-        if len(adj[y_order[pos]]) == len(adj[part[-1]]):
-            part.append(y_order[pos])
-        else:
-            y_parts.append(tuple(part))
-            part = [y_order[pos]]
-    y_parts.append(tuple(part))
-
-    if len(x_parts) != len(y_parts):
+    y_runs.reverse()
+    if len(x_runs) != len(y_runs):
         raise VerificationError(
-            f"twin partition mismatch: {len(x_parts)} X parts, {len(y_parts)} Y parts"
+            f"twin partition mismatch: {len(x_runs)} X parts, {len(y_runs)} Y parts"
         )
-    return ChainStructure(g, tuple(x_order), tuple(y_order), tuple(x_parts), tuple(y_parts))
+    return ChainStructure(
+        g,
+        tuple(chain.from_iterable(x_runs)),
+        tuple(chain.from_iterable(y_runs)),
+        tuple(map(tuple, x_runs)),
+        tuple(map(tuple, y_runs)),
+    )
 
 
 def _score_table(cs: ChainStructure) -> list[int]:

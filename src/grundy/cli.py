@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exact import HARD_CAP, grundy_domination_exact
 from .generators import ChainProfile, chain_from_profile, random_graph, random_hypergraph
-from .graph import load_graph, save_graph
+from .graph import load_graph, read_text, save_graph
 from .hypergraph import load_hypergraph, save_hypergraph
 from .reductions import format_roles, graph_to_cobipartite, hypergraph_to_bipartite
 from .sequences import check_closed_neighborhood_sequence, parse_sequence
@@ -128,8 +128,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     g = load_graph(args.graph)
-    with open(args.sequence, "r", encoding="utf-8") as fh:
-        order = parse_sequence(fh.read())
+    order = parse_sequence(read_text(args.sequence))
     report = [("command", "verify"), ("n", g.n), ("m", g.edge_count)]
     try:
         seq = check_closed_neighborhood_sequence(g, order)
@@ -215,9 +214,22 @@ def cmd_gen(args) -> int:
 # ---- bench -----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive_int(tok) for tok in text.split(",")]
+
+
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",")]
-    rows = bench_mod.run_bench(sizes, repeats=args.repeats, shape=args.shape)
+    rows = bench_mod.run_bench(args.sizes, repeats=args.repeats, shape=args.shape)
     for row in rows:
         print(f"{row.n},{row.median_ms:.3f}")
     if not args.machine:
@@ -325,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the chain pipeline across sizes")
     p.add_argument(
         "--sizes",
+        type=_positive_int_list,
         default=",".join(str(n) for n in bench_mod.DEFAULT_SIZES),
         help="comma-separated instance sizes",
     )
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument(
         "--shape",
         default=bench_mod.DEFAULT_SHAPE,

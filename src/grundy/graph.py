@@ -207,9 +207,17 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(path: str) -> Graph:
+def read_text(path: str) -> str:
+    """Read a UTF-8 instance file; undecodable bytes are a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not valid UTF-8") from exc
+
+
+def load_graph(path: str) -> Graph:
+    return parse_graph(read_text(path))
 
 
 def save_graph(g: Graph, path: str) -> None:

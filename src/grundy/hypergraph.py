@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InputError
+from .graph import read_text
 
 __all__ = [
     "Hypergraph",
@@ -169,8 +170,7 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def load_hypergraph(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read())
+    return parse_hypergraph(read_text(path))
 
 
 def save_hypergraph(h: Hypergraph, path: str) -> None:

@@ -4,11 +4,15 @@ Every solver in the package funnels its output back through these checkers,
 so they are written to re-derive everything from scratch: a sweep walks the
 sequence left to right with a dominated-vertex table and never patches
 results incrementally across edits. Cost is O(n + sum of degrees of the
-sequence vertices), cheap enough to run on every benchmark output.
+sequence vertices), cheap enough to run on every benchmark output. The
+walk keeps no table of played vertices: a repeated vertex always has an
+empty footprint, because its first play dominated its closed neighborhood,
+so the empty footprint is where a duplicate is caught and named.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import DuplicateVertexError, FormatError, IllegalStepError, InputError
@@ -54,35 +58,43 @@ def _sweep(g: Graph, order: Sequence[int], collect: bool):
 
     Returns (footprints or None, covered_count, first_illegal_position).
     Raises on out-of-range or duplicate vertices; an empty footprint is
-    reported through the third slot, not raised.
+    reported through the third slot, not raised. Whichever of these comes
+    first in the order wins. A duplicate is named at its empty footprint
+    (see the module docstring). Footprints, when collected, are read back
+    from the step that first dominated each vertex.
     """
     n = g.n
     adj = g.adjacency
-    dominated = bytearray(n)
-    in_sequence = bytearray(n)
-    footprints: list[tuple[int, ...]] | None = [] if collect else None
+    stop = len(order)
+    if stop and (min(order) < 0 or max(order) >= n):
+        stop = next(pos for pos, v in enumerate(order) if not 0 <= v < n)
+    # dominated_at[u] is 1 + the position of the step that first dominated u
+    dominated_at = [0] * n
     covered = 0
-    for pos, v in enumerate(order):
-        if not 0 <= v < n:
-            raise InputError(f"vertex {v} out of range for n={n}")
-        if in_sequence[v]:
-            raise DuplicateVertexError(v, pos)
-        in_sequence[v] = 1
-        fresh = []
-        if not dominated[v]:
-            dominated[v] = 1
-            fresh.append(v)
+    for step, v in enumerate(islice(order, stop), 1):
+        fresh = 0
+        if not dominated_at[v]:
+            dominated_at[v] = step
+            fresh = 1
         for u in adj[v]:
-            if not dominated[u]:
-                dominated[u] = 1
-                fresh.append(u)
+            if not dominated_at[u]:
+                dominated_at[u] = step
+                fresh += 1
         if not fresh:
-            return footprints, covered, pos
-        covered += len(fresh)
-        if footprints is not None:
-            fresh.sort()
-            footprints.append(tuple(fresh))
-    return footprints, covered, -1
+            pos = step - 1
+            if order.index(v) < pos:
+                raise DuplicateVertexError(v, pos)
+            return None, covered, pos
+        covered += fresh
+    if stop < len(order):
+        raise InputError(f"vertex {order[stop]} out of range for n={n}")
+    if not collect:
+        return None, covered, -1
+    footprints: list[list[int]] = [[] for _ in range(stop)]
+    for u, step in enumerate(dominated_at):
+        if step:
+            footprints[step - 1].append(u)
+    return list(map(tuple, footprints)), covered, -1
 
 
 def check_closed_neighborhood_sequence(g: Graph, order: Sequence[int]) -> VertexSequence:

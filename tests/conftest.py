@@ -140,6 +140,59 @@ def all_legal_sequences(g: Graph, max_len: int):
             yield seq
 
 
+def walk_oracle(g: Graph, order) -> tuple[str, object]:
+    """Set-based left-to-right walk of a vertex order.
+
+    Returns ("ok", footprints) for a legal order, else the name of the
+    first failure in order position and where it happened:
+    ("InputError", pos), ("DuplicateVertexError", pos) or
+    ("IllegalStepError", pos).
+    """
+    dominated: set[int] = set()
+    played: set[int] = set()
+    footprints = []
+    for pos, v in enumerate(order):
+        if not 0 <= v < g.n:
+            return "InputError", pos
+        if v in played:
+            return "DuplicateVertexError", pos
+        played.add(v)
+        fresh = (set(g.neighbors(v)) | {v}) - dominated
+        if not fresh:
+            return "IllegalStepError", pos
+        dominated |= fresh
+        footprints.append(tuple(sorted(fresh)))
+    return "ok", tuple(footprints)
+
+
+def chain_reference(g: Graph) -> tuple[str, object]:
+    """Chain recognition from a 2-colouring and pairwise containment.
+
+    For a graph with no isolated vertex returns ("not bipartite", None),
+    ("not chain", (x_side, y_side)) or ("chain", (x_side, y_side)). The
+    sides are sets; each component is coloured from its lowest vertex,
+    which goes to x_side, so they are the sides graph.bipartition finds.
+    """
+    color: dict[int, int] = {}
+    for root in range(g.n):
+        if root in color:
+            continue
+        color[root] = 0
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for w in g.neighbors(u):
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    frontier.append(w)
+                elif color[w] == color[u]:
+                    return "not bipartite", None
+    sides = ({v for v in color if color[v] == 0}, {v for v in color if color[v] == 1})
+    rows = [set(g.neighbors(v)) for v in sides[0]]
+    nested = all(a <= b or b <= a for a, b in itertools.combinations(rows, 2))
+    return ("chain" if nested else "not chain"), sides
+
+
 @pytest.fixture
 def sample_h() -> Hypergraph:
     return sample_hypergraph()

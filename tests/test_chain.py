@@ -1,9 +1,14 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import grundy.chain as chain_module
 from grundy import (
     Graph,
+    bipartition,
     IsolatedVertexError,
     NotChainGraphError,
     check_subset_ordering,
@@ -19,7 +24,13 @@ from grundy import (
 from grundy.generators import ChainProfile, chain_from_profile, random_chain_profile
 from grundy.sweeps import _observation_identities_hold, exhaustive_profiles
 
-from .conftest import brute_alpha, complete_bipartite, cycle_graph, path_graph
+from .conftest import (
+    brute_alpha,
+    chain_reference,
+    complete_bipartite,
+    cycle_graph,
+    path_graph,
+)
 
 
 # P4 drawn as a chain graph: X = {0, 1}, Y = {2, 3}, edges 0-2, 1-2, 1-3
@@ -103,6 +114,110 @@ class TestRecognition:
         assert expected
         nested = [set(g.neighbors(v)) for v in cs.x_order]
         assert all(p <= q for p, q in zip(nested, nested[1:]))
+
+
+@st.composite
+def graphs_without_isolated(draw, max_n=8):
+    """Half of the draws are bipartite by construction, over random sides."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bipartite = draw(st.booleans())
+    pairs = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if not bipartite or side[u] != side[v]
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    assume(all(g.adjacency))
+    return g
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    label = list(range(g.n))
+    random.Random(seed).shuffle(label)
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Graphs that recognize_chain hands to graph.bipartition."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return bipartition(g)
+
+    monkeypatch.setattr(chain_module, "bipartition", counting)
+    return calls
+
+
+class TestRecognitionAgainstReference:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(graphs_without_isolated())
+    def test_verdict_sides_and_witness(self, g):
+        verdict, sides = chain_reference(g)
+        try:
+            cs = recognize_chain(g)
+        except NotChainGraphError as exc:
+            assert verdict != "chain"
+            if verdict == "not bipartite":
+                assert str(exc) == "not bipartite" and exc.witness is None
+                return
+            x_side, y_side = sides
+            u, v = exc.witness
+            assert {u, v} <= x_side or {u, v} <= y_side
+            nu, nv = set(g.neighbors(u)), set(g.neighbors(v))
+            assert not (nu <= nv or nv <= nu)
+            return
+        assert verdict == "chain"
+        assert (set(cs.x_order), set(cs.y_order)) == sides
+        for parts in (cs.x_parts, cs.y_parts):
+            rows = [{tuple(g.neighbors(v)) for v in part} for part in parts]
+            assert all(len(r) == 1 for r in rows)
+            assert len(set().union(*rows)) == len(parts)
+
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            # 2K2: every vertex has degree 1, the hub's neighborhood is one vertex
+            (4, [(0, 1), (2, 3)], "incomparable neighborhoods: vertices 0 and 2"),
+            # P3 + K2: disconnected, so the split cannot be a 2-colouring
+            (5, [(0, 1), (1, 2), (3, 4)], "incomparable neighborhoods: vertices 2 and 3"),
+            # P5: bipartite, but the rest of the split keeps the edge 3-4
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4)], "incomparable neighborhoods: vertices 0 and 4"),
+            # K3: the scan of the rest passes; the degree sum misses the edge 1-2
+            (3, [(0, 1), (1, 2), (0, 2)], "not bipartite"),
+            (5, [(i, (i + 1) % 5) for i in range(5)], "not bipartite"),
+        ],
+    )
+    def test_rejections_named_from_bfs_sides(self, bfs_calls, n, edges, message):
+        g = Graph.from_edges(n, edges)
+        with pytest.raises(NotChainGraphError) as info:
+            recognize_chain(g)
+        assert str(info.value) == message
+        assert bfs_calls == [g]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_shuffled_profiles_recover_class_sizes(self, seed):
+        profile = random_chain_profile(12, seed)
+        g = relabelled(chain_from_profile(profile), seed)
+        cs = recognize_chain(g)
+        recovered = (tuple(map(len, cs.x_parts)), tuple(map(len, cs.y_parts)))
+        # seen from the other side, the chain order of the classes reverses
+        flipped = (profile.sizes_y[::-1], profile.sizes_x[::-1])
+        assert recovered in ((profile.sizes_x, profile.sizes_y), flipped)
+        assert 0 in cs.x_order
+
+    def test_chain_graphs_skip_the_bfs(self, bfs_calls):
+        for profile in exhaustive_profiles(max_k=3, max_part=2, max_vertices=10):
+            recognize_chain(relabelled(chain_from_profile(profile), profile.total_vertices))
+        assert bfs_calls == []
 
 
 class TestGrundyChain:

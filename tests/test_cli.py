@@ -1,3 +1,5 @@
+import pytest
+
 from grundy.cli import main
 from grundy import Graph, format_graph, load_graph
 
@@ -196,6 +198,53 @@ class TestBench:
         n, t = rows[0].split(",")
         assert int(n) == 64
         float(t)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sizes", "1000,abc"],
+            ["--sizes", "64,0"],
+            ["--sizes", ""],
+            ["--repeats", "0"],
+            ["--repeats", "x"],
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", *argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: grundy bench")
+        assert "expected a positive integer" in err
+        assert "Traceback" not in err
+
+
+class TestNotUtf8:
+    """Undecodable bytes in any input file are a format error (exit 2)."""
+
+    def bad_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\n")
+        return str(path)
+
+    def test_graph_file(self, tmp_path, capsys):
+        code, _, err = run(capsys, "solve", self.bad_file(tmp_path, "g.graph"))
+        assert code == 2
+        assert "not valid UTF-8" in err
+
+    def test_hypergraph_file(self, tmp_path, capsys):
+        hpath = self.bad_file(tmp_path, "h.hg")
+        code, _, err = run(
+            capsys, "reduce", hpath, "--to", "bipartite", "--out", str(tmp_path / "out.graph")
+        )
+        assert code == 2
+        assert "not valid UTF-8" in err
+
+    def test_sequence_file(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, path_graph(3))
+        code, _, err = run(capsys, "verify", gpath, self.bad_file(tmp_path, "seq.txt"))
+        assert code == 2
+        assert "not valid UTF-8" in err
 
 
 class TestSweep:

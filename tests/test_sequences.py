@@ -14,7 +14,7 @@ from grundy import (
 from grundy.generators import random_graph
 from grundy.sequences import quick_verify
 
-from .conftest import all_legal_sequences, complete_graph, path_graph, star_graph
+from .conftest import all_legal_sequences, complete_graph, path_graph, star_graph, walk_oracle
 
 
 class TestChecker:
@@ -41,6 +41,24 @@ class TestChecker:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             check_closed_neighborhood_sequence(path_graph(3), [7])
+
+    @pytest.mark.parametrize(
+        "order,error,position",
+        [
+            ([0, 0, 9], DuplicateVertexError, 1),
+            ([0, 9, 0], InputError, 1),
+            ([-1, 0, 0], InputError, 0),
+            ([1, 0, 1], IllegalStepError, 1),
+        ],
+    )
+    def test_first_failure_in_order_wins(self, order, error, position):
+        with pytest.raises(error) as info:
+            check_closed_neighborhood_sequence(path_graph(3), order)
+        assert type(info.value) is error
+        if error is InputError:
+            assert str(info.value) == f"vertex {order[position]} out of range for n=3"
+        else:
+            assert info.value.position == position
 
 
 class TestDominating:
@@ -106,6 +124,56 @@ class TestProperties:
             legal, dominating = quick_verify(g, order)
             assert legal
             assert dominating == is_dominating_sequence(g, order)
+
+
+@st.composite
+def graphs_with_orders(draw):
+    """A graph and a vertex order: a prefix of a permutation with up to two
+    insertions of -1, n or a repeat, or an arbitrary list over -1..n."""
+    g = draw(seeded_graphs(max_n=8))
+    n = g.n
+    if draw(st.booleans()):
+        return g, draw(st.lists(st.integers(min_value=-1, max_value=n), max_size=n + 3))
+    order = draw(st.permutations(range(n)))[: draw(st.integers(min_value=0, max_value=n))]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        extra = draw(st.sampled_from([-1, n, *order]))
+        order.insert(draw(st.integers(min_value=0, max_value=len(order))), extra)
+    return g, order
+
+
+def raised(call):
+    try:
+        call()
+    except (InputError, IllegalStepError) as exc:
+        return exc
+    return None
+
+
+class TestWalkAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_orders())
+    def test_entry_points_match_set_walk(self, case):
+        g, order = case
+        kind, where = walk_oracle(g, order)
+        if kind == "ok":
+            seq = check_closed_neighborhood_sequence(g, order)
+            assert seq.footprints == where
+            dominating = seq.covered() == g.n
+            assert is_dominating_sequence(g, order) == dominating
+            assert quick_verify(g, order) == (True, dominating)
+            return
+        if kind == "IllegalStepError":
+            assert quick_verify(g, order) == (False, False)
+            calls = (check_closed_neighborhood_sequence, is_dominating_sequence)
+        else:
+            calls = (check_closed_neighborhood_sequence, is_dominating_sequence, quick_verify)
+        for entry in calls:
+            exc = raised(lambda: entry(g, order))
+            assert type(exc).__name__ == kind
+            if kind == "InputError":
+                assert str(exc) == f"vertex {order[where]} out of range for n={g.n}"
+            else:
+                assert (exc.position, exc.vertex) == (where, order[where])
 
 
 class TestRederivation:
