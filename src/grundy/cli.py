@@ -9,6 +9,7 @@ printing an unverified answer.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -228,6 +229,18 @@ def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(tok) for tok in text.split(",")]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _job_count(text: str) -> int:
+    """A positive worker count, clamped to the CPUs this process may use:
+    the sweep pool starts every worker at once."""
+    return min(_positive_int(text), _usable_cpus())
+
+
 def cmd_bench(args) -> int:
     rows = bench_mod.run_bench(args.sizes, repeats=args.repeats, shape=args.shape)
     for row in rows:
@@ -298,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute gamma_gr of a graph file")
     p.add_argument("path")
     p.add_argument("--method", choices=["auto", "exact", "chain", "cochain"], default="auto")
-    p.add_argument("--budget", type=int, default=None, help="node budget for the exact solver")
+    p.add_argument(
+        "--budget", type=_positive_int, default=None, help="node budget for the exact solver"
+    )
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -352,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an equivalence sweep")
     p.add_argument("family", choices=["chain", "duality", "bipartite", "cobipartite"])
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument(
+        "--jobs", type=_job_count, default=None, help="worker processes, at most the usable CPUs"
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--random", type=int, default=None)
     p.add_argument("--max-k", type=int, default=4)

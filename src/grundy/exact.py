@@ -12,24 +12,42 @@ one new bit. The longest move sequence equals the quantity of interest:
 * hypergraph transversal: moves are vertices, masks are the sets of edges
   containing them (a legal move needs a live witnessing edge).
 
-Why memoization on the covered state alone is sound: a move is legal
-exactly when its mask escapes the covered state, and the value of a state
-is the longest legal continuation from it. Both depend only on the state,
+Why memoization on the uncovered set alone is sound: a move is legal
+exactly when its mask meets the uncovered set, and the value of a state
+is the longest legal continuation from it. Both depend only on that set,
 not on which moves built it; in particular a move already taken can never
 be retaken, since its whole mask is covered. Two prefixes reaching the
-same state therefore have identical futures, so the memo table maps each
-covered-state bitset to its exact remaining length. No branch-and-bound
+same set therefore have identical futures, so the memo table maps each
+uncovered bitset to its exact remaining length. No branch-and-bound
 information leaks into the table: entries are finished exhaustive values
-(an admissible early exit applies only once a child reaches the hard
-"one new bit per move" ceiling, which cannot be exceeded).
+(an admissible early exit applies only once a child reaches the ceiling
+min(uncovered bits, live moves), which no continuation can exceed: each
+move adds a new bit and no move is played twice).
 
-States are optionally canonicalized by twin classes: vertices with equal
-open or closed neighborhoods are interchangeable under an automorphism,
-so a state is mapped to the orbit representative that dominates the
-lowest-index members of each class. This collapses the state space on
+Why the component split is sound: call two uncovered bits linked when
+one move's mask holds both, and split the uncovered set into the
+connected components of that relation. A move's residual (its mask
+within the uncovered set) lies inside one component, so a move changes
+one component only and its legality depends on that component alone.
+The move sequences of different components therefore interleave freely,
+and the value of a set is the sum of its components' values. The engine
+finds the component of the lowest uncovered bit from a precomputed
+reach[b] (bit b together with every mask containing it): connected
+states pay one AND. A set that splits is valued as value(component) +
+value(rest) and memoized under its own mask like any other; the
+reconstruction of the witness still walks the whole state in the usual
+candidate order and asks value() only, so the witness is the one an
+unsplit search finds. nodes_explored counts expansions of connected
+sets, and so does node_budget.
+
+Uncovered sets are optionally canonicalized by twin classes: vertices
+with equal open or closed neighborhoods are interchangeable under an
+automorphism, so within each class the uncovered members are moved to
+the highest indices (the orbit representative in which the covered ones
+are the lowest-index members). This collapses the state space on
 twin-heavy inputs (complete bipartite blocks, gadget constructions) and
 never changes values or the reconstructed witness; tests cross-check it
-against the plain keying and against memoization-free search.
+against the plain keying and against a memo-free branch and bound.
 """
 from __future__ import annotations
 
@@ -65,6 +83,7 @@ class SearchResult:
     best_sequence is a VertexSequence for graph domination and a tuple of
     move indices (edges or vertices) for the hypergraph variants; it always
     re-verifies through the independent checkers before being returned.
+    nodes_explored counts the connected uncovered sets the search expanded.
     """
 
     best_length: int
@@ -75,26 +94,23 @@ class SearchResult:
 # ---- twin classes ----------------------------------------------------------
 
 
-def _merge_signature_groups(n: int, signatures: list[dict]) -> list[tuple[int, ...]]:
-    """Union-find over vertices, merging each signature group; returns the
-    classes with at least two members, each sorted ascending."""
-    parent = list(range(n))
+def _merge_signature_groups(signatures: list[dict]) -> list[tuple[int, ...]]:
+    """The groups with at least two members, each sorted ascending, ordered
+    by their lowest member.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for groups in signatures:
-        for members in groups.values():
-            root = find(members[0])
-            for v in members[1:]:
-                parent[find(v)] = root
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(find(v), []).append(v)
-    return [tuple(sorted(c)) for c in classes.values() if len(c) > 1]
+    The groups of one signature family partition the vertices, and a group
+    of size >= 2 from one family never shares a vertex with a group of
+    size >= 2 from another, so plain concatenation needs no merging. For
+    graphs, suppose u, v are open twins and u, w are closed twins. Closed
+    twins are adjacent, so w is in N(u) = N(v), hence v is in N[w] = N[u];
+    as v != u, v is in N(u) = N(v), but no vertex is its own neighbor.
+    """
+    return sorted(
+        tuple(sorted(members))
+        for groups in signatures
+        for members in groups.values()
+        if len(members) > 1
+    )
 
 
 def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
@@ -105,7 +121,7 @@ def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
         row = tuple(g.adjacency[v])
         open_groups.setdefault(row, []).append(v)
         closed_groups.setdefault(tuple(sorted(row + (v,))), []).append(v)
-    return _merge_signature_groups(g.n, [open_groups, closed_groups])
+    return _merge_signature_groups([open_groups, closed_groups])
 
 
 def _mask_equal_classes(masks: Sequence[int], count: int) -> list[tuple[int, ...]]:
@@ -119,24 +135,39 @@ def _mask_equal_classes(masks: Sequence[int], count: int) -> list[tuple[int, ...
 
 
 def _make_canon(classes: list[tuple[int, ...]]):
-    """Return a state canonicalizer for the given interchangeability classes."""
+    """Return a canonicalizer of uncovered sets for the given
+    interchangeability classes: within each class, the uncovered members
+    move to the highest indices."""
     tables = []
     for members in classes:
         class_mask = 0
-        prefixes = [0]
-        for b in members:
+        suffixes = [0]
+        for b in reversed(members):
             class_mask |= 1 << b
-            prefixes.append(prefixes[-1] | 1 << b)
-        tables.append((class_mask, prefixes))
+            suffixes.append(suffixes[-1] | 1 << b)
+        tables.append((class_mask, suffixes))
 
-    def canon(state: int) -> int:
-        for class_mask, prefixes in tables:
-            inside = state & class_mask
+    def canon(free: int) -> int:
+        for class_mask, suffixes in tables:
+            inside = free & class_mask
             if inside and inside != class_mask:
-                state = (state & ~class_mask) | prefixes[inside.bit_count()]
-        return state
+                free = (free & ~class_mask) | suffixes[inside.bit_count()]
+        return free
 
     return canon
+
+
+def _reach_table(masks: Sequence[int], full: int) -> list[int]:
+    """reach[b]: bit b together with every mask that contains bit b, so the
+    uncovered bits linked to b in an uncovered set `free` are reach[b] & free."""
+    reach = [1 << b for b in range(full.bit_length())]
+    for mask in masks:
+        rest = mask & full
+        while rest:
+            low = rest & -rest
+            reach[low.bit_length() - 1] |= mask
+            rest ^= low
+    return reach
 
 
 def _longest_sequence(
@@ -148,32 +179,46 @@ def _longest_sequence(
 ):
     """Longest sequence of moves in which every move adds a new bit.
 
-    Returns (length, move_indices, states_expanded). Candidate order at
-    every state: descending size of the move's residual contribution,
-    ties by move index; the witness is reconstructed with the same order,
-    so outputs are deterministic.
+    Returns (length, move_indices, states_expanded). A state is its set of
+    uncovered bits; a set that splits into components is valued as the
+    sum of its components, and only connected sets are expanded and
+    counted. Candidate order at every expansion: descending size of the
+    move's residual contribution, ties by move index; the witness is
+    reconstructed with the same order on the whole state, so outputs are
+    deterministic.
     """
     canon = _make_canon(classes) if classes else None
-    memo: dict[int, int] = {}
+    reach = _reach_table(masks, full)
+    memo: dict[int, int] = {0: 0}
     nodes = 0
 
-    def value(state: int) -> int:
+    def value(free: int) -> int:
         nonlocal nodes
-        cached = memo.get(state)
+        cached = memo.get(free)
         if cached is not None:
             return cached
+        low = free & -free
+        comp = reach[low.bit_length() - 1] & free
+        if comp != free:
+            todo = comp ^ low
+            while todo and comp != free:
+                bit = todo & -todo
+                grown = reach[bit.bit_length() - 1] & free & ~comp
+                comp |= grown
+                todo = (todo ^ bit) | grown
+            if comp != free:
+                total = value(comp) + value(free ^ comp)
+                memo[free] = total
+                return total
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(nodes, node_budget)
-        ceiling = (full & ~state).bit_count()
-        if ceiling == 0:
-            memo[state] = 0
-            return 0
         candidates = []
         for i, mask in enumerate(masks):
-            gain = (mask & ~state).bit_count()
-            if gain:
-                candidates.append((-gain, i, state | mask))
+            residual = mask & free
+            if residual:
+                candidates.append((-residual.bit_count(), i, free ^ residual))
+        ceiling = min(free.bit_count(), len(candidates))
         candidates.sort()
         best = 0
         seen: set[int] = set()
@@ -187,74 +232,31 @@ def _longest_sequence(
                 best = v
                 if best == ceiling:
                     break
-        memo[state] = best
+        memo[free] = best
         return best
 
-    total = value(canon(0) if canon else 0)
+    total = value(full)
     moves: list[int] = []
     if want_witness:
-        state = 0
+        free = full
         need = total
         while need:
-            candidates = []
-            for i, mask in enumerate(masks):
-                gain = (mask & ~state).bit_count()
-                if gain:
-                    candidates.append((-gain, i))
+            candidates = [
+                (-residual.bit_count(), i, free ^ residual)
+                for i, mask in enumerate(masks)
+                if (residual := mask & free)
+            ]
             candidates.sort()
-            for _, i in candidates:
-                child = state | masks[i]
+            for _, i, child in candidates:
                 key = canon(child) if canon else child
                 if 1 + value(key) == need:
                     moves.append(i)
-                    state = child
+                    free = child
                     need -= 1
                     break
             else:  # pragma: no cover - value() guarantees a maximizer exists
                 raise VerificationError("witness reconstruction lost the optimum")
     return total, moves, nodes
-
-
-def _longest_sequence_nomemo(
-    masks: Sequence[int],
-    full: int,
-    node_budget: int | None = None,
-):
-    """Plain depth-first branch and bound, for cross-checking the memo table.
-
-    Prunes a branch when the current length plus the number of uncovered
-    bits cannot beat the best found; keeps the first optimum in search
-    order, which matches the memoized reconstruction.
-    """
-    best = {"length": -1, "moves": ()}
-    nodes = 0
-    prefix: list[int] = []
-
-    def dfs(state: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceededError(nodes, node_budget)
-        candidates = []
-        for i, mask in enumerate(masks):
-            gain = (mask & ~state).bit_count()
-            if gain:
-                candidates.append((-gain, i, state | mask))
-        if not candidates:
-            if len(prefix) > best["length"]:
-                best["length"] = len(prefix)
-                best["moves"] = tuple(prefix)
-            return
-        if len(prefix) + (full & ~state).bit_count() <= best["length"]:
-            return
-        candidates.sort()
-        for _, i, child in candidates:
-            prefix.append(i)
-            dfs(child)
-            prefix.pop()
-
-    dfs(0)
-    return best["length"], list(best["moves"]), nodes
 
 
 # ---- public solvers --------------------------------------------------------
@@ -264,25 +266,20 @@ def grundy_domination_exact(
     g: Graph,
     node_budget: int | None = None,
     hard_cap: int = HARD_CAP,
-    memoize: bool = True,
     orbit_reduction: bool = True,
 ) -> SearchResult:
     """Maximum length of a dominating sequence, by exhaustive search.
 
     Raises SizeCapError beyond hard_cap vertices and BudgetExceededError
     when node_budget runs out; never returns a silent lower bound. The
-    memoize/orbit_reduction switches exist for cross-checking and change
-    neither the value nor the witness.
+    orbit_reduction switch changes neither the value nor the witness.
     """
     if g.n > hard_cap:
         raise SizeCapError(g.n, hard_cap)
     masks = [_closed_mask(g, v) for v in range(g.n)]
     full = (1 << g.n) - 1
-    if memoize:
-        classes = graph_twin_classes(g) if orbit_reduction else None
-        length, moves, nodes = _longest_sequence(masks, full, classes, node_budget)
-    else:
-        length, moves, nodes = _longest_sequence_nomemo(masks, full, node_budget)
+    classes = graph_twin_classes(g) if orbit_reduction else None
+    length, moves, nodes = _longest_sequence(masks, full, classes, node_budget)
     seq = check_closed_neighborhood_sequence(g, moves)
     if len(seq) != length or seq.covered() != g.n:
         raise VerificationError(

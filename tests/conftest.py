@@ -120,6 +120,58 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def first_longest_sequence(moves, ground) -> tuple[int, tuple[int, ...]]:
+    """Longest sequence of moves in which each move covers something new,
+    by depth-first branch and bound over sets, with no memo table.
+
+    `moves` lists the set each move covers; `ground` is the set to cover.
+    At every step the moves are tried by descending size of their fresh
+    part, ties by index. A branch is cut when its length plus the number
+    of uncovered elements cannot beat the best so far, and only a strictly
+    longer sequence replaces the best. The result is therefore the first
+    optimum in that order: the witness the exact engine reconstructs.
+    """
+    moves = [set(m) for m in moves]
+    ground = set(ground)
+    best: list = [-1, ()]
+    prefix: list[int] = []
+
+    def extend(covered: set[int]) -> None:
+        order = sorted((-len(m - covered), i) for i, m in enumerate(moves) if m - covered)
+        if not order:
+            if len(prefix) > best[0]:
+                best[:] = [len(prefix), tuple(prefix)]
+            return
+        if len(prefix) + len(ground - covered) <= best[0]:
+            return
+        for _, i in order:
+            prefix.append(i)
+            extend(covered | moves[i])
+            prefix.pop()
+
+    extend(set())
+    return best[0], best[1]
+
+
+def first_longest_dominating(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """first_longest_sequence over closed neighborhoods: Grundy domination
+    number and the witness order of grundy_domination_exact."""
+    return first_longest_sequence(
+        [set(g.neighbors(v)) | {v} for v in range(g.n)], range(g.n)
+    )
+
+
+def disjoint_union(graphs: list[Graph], perm: list[int]) -> Graph:
+    """Disjoint union, the vertices of each part following the previous
+    parts, then vertex v renamed to perm[v]."""
+    edges = []
+    offset = 0
+    for part in graphs:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    return Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges])
+
+
 def all_legal_sequences(g: Graph, max_len: int):
     """Yield every legal sequence of length at most max_len."""
     closed = [set(g.neighbors(v)) | {v} for v in range(g.n)]

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from grundy import cli
 from grundy.cli import main
 from grundy import Graph, format_graph, load_graph
 
@@ -88,6 +91,33 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", path)
         assert code == 0
         assert "k=2 |X_i|=1,1 |Y_i|=1,1" in out
+
+    def test_exact_on_disconnected_graph(self, tmp_path, capsys):
+        # P4 + P3 + K1: 3 + 2 + 1 moves, one component at a time
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+        path = write_graph(tmp_path, g)
+        code, out, _ = run(capsys, "solve", path, "--method", "exact", "--machine")
+        assert code == 0
+        report = machine_dict(out)
+        assert report["gamma_gr"] == "6"
+        assert int(report["nodes"]) >= 1
+
+    def test_budget_exhausted_exit_code(self, tmp_path, capsys):
+        path = write_graph(tmp_path, path_graph(12))
+        code, _, err = run(capsys, "solve", path, "--method", "exact", "--budget", "1")
+        assert code == 3
+        assert "budget" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x", "1.5", ""])
+    def test_bad_budget_is_usage_error(self, tmp_path, capsys, value):
+        path = write_graph(tmp_path, path_graph(3))
+        with pytest.raises(SystemExit) as info:
+            main(["solve", path, "--budget", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: grundy solve")
+        assert "expected a positive integer" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -280,3 +310,21 @@ class TestSweep:
         )
         assert code == 0
         assert machine_dict(out)["failures"] == "0"
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "2.0", ""])
+    def test_bad_jobs_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "bipartite", "--jobs", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: grundy sweep")
+        assert "expected a positive integer" in err
+        assert "Traceback" not in err
+
+    def test_jobs_clamped_to_usable_cpus(self):
+        # parse only: a sweep with this many workers must never start
+        usable = len(os.sched_getaffinity(0))
+        assert cli._job_count("100000") == usable
+        assert cli._job_count("1") == 1
+        args = cli.build_parser().parse_args(["sweep", "chain", "--jobs", "100000"])
+        assert args.jobs == usable

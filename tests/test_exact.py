@@ -18,6 +18,7 @@ from grundy import (
     is_legal_edge_sequence,
     is_legal_transversal_sequence,
 )
+from grundy.exact import graph_twin_classes
 from grundy.generators import random_graph, random_hypergraph
 
 from .conftest import (
@@ -27,6 +28,10 @@ from .conftest import (
     brute_tau,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
+    disjoint_union,
+    first_longest_dominating,
+    first_longest_sequence,
     path_graph,
 )
 
@@ -84,11 +89,11 @@ class TestSearchModes:
         g = random_graph(n, p, seed)
         full = grundy_domination_exact(g)
         no_orbit = grundy_domination_exact(g, orbit_reduction=False)
-        no_memo = grundy_domination_exact(g, memoize=False)
+        length, order = first_longest_dominating(g)
         assert check_subset_ordering(g, full.best_sequence)
-        assert full.best_length == no_orbit.best_length == no_memo.best_length
+        assert full.best_length == no_orbit.best_length == length
         assert full.best_sequence.order == no_orbit.best_sequence.order
-        assert full.best_sequence.order == no_memo.best_sequence.order
+        assert full.best_sequence.order == order
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -181,3 +186,145 @@ class TestAgainstSetOracles:
     def test_independence_matches_brute(self, n, p, seed):
         g = random_graph(n, p, seed)
         assert independence_number_exact(g) == brute_alpha(g)
+
+
+def _blow_up(base: Graph, sizes: list[int], closed: list[bool]) -> Graph:
+    """Replace vertex i of base by sizes[i] twins: a clique of closed twins
+    when closed[i], else an independent set of open twins."""
+    ids = []
+    for size in sizes:
+        start = ids[-1][-1] + 1 if ids else 0
+        ids.append(range(start, start + size))
+    edges = [
+        (u, v) for i, members in enumerate(ids) if closed[i]
+        for u in members for v in members if u < v
+    ]
+    edges += [(u, v) for a, b in base.edges() for u in ids[a] for v in ids[b]]
+    return Graph.from_edges(sum(sizes), edges)
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    base = random_graph(k, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    closed = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return _blow_up(base, sizes, closed)
+
+
+class TestTwinClasses:
+    @settings(max_examples=100, deadline=None)
+    @given(twin_rich_graphs())
+    def test_open_and_closed_classes_are_disjoint(self, g):
+        open_groups: dict[frozenset, set[int]] = {}
+        closed_groups: dict[frozenset, set[int]] = {}
+        for v in range(g.n):
+            row = frozenset(g.neighbors(v))
+            open_groups.setdefault(row, set()).add(v)
+            closed_groups.setdefault(row | {v}, set()).add(v)
+        open_members = set().union(*(c for c in open_groups.values() if len(c) > 1))
+        closed_members = set().union(*(c for c in closed_groups.values() if len(c) > 1))
+        assert not open_members & closed_members
+        expected = sorted(
+            tuple(sorted(c))
+            for groups in (open_groups, closed_groups)
+            for c in groups.values()
+            if len(c) > 1
+        )
+        assert graph_twin_classes(g) == expected
+
+
+class TestComponentSplit:
+    def test_paths_up_to_40(self):
+        for n in range(2, 41):
+            res = grundy_domination_exact(path_graph(n), hard_cap=40)
+            assert res.best_length == n - 1
+            assert res.nodes_explored <= n * n
+            assert is_dominating_sequence(path_graph(n), res.best_sequence.order)
+
+    def test_cycles_up_to_40(self):
+        for n in range(3, 41):
+            res = grundy_domination_exact(cycle_graph(n), hard_cap=40)
+            assert res.best_length == n - 2
+            assert res.nodes_explored <= n * n
+            assert is_dominating_sequence(cycle_graph(n), res.best_sequence.order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 6), st.floats(0.0, 1.0), st.integers(0, 10**6)
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_disjoint_union_adds_values(self, specs, rnd):
+        g, h = (random_graph(n, p, seed) for n, p, seed in specs)
+        perm = list(range(g.n + h.n))
+        rnd.shuffle(perm)
+        union = disjoint_union([g, h], perm)
+        res = grundy_domination_exact(union)
+        assert res.best_length == brute_gamma(g) + brute_gamma(h)
+        assert is_dominating_sequence(union, res.best_sequence.order)
+        assert check_subset_ordering(union, res.best_sequence)
+        assert len(res.best_sequence) == res.best_length
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 10**6)
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_disconnected_witness_order_matches_oracle(self, specs, rnd):
+        parts = [random_graph(n, p, seed) for n, p, seed in specs]
+        perm = list(range(sum(part.n for part in parts)))
+        rnd.shuffle(perm)
+        g = disjoint_union(parts, perm)
+        length, order = first_longest_dominating(g)
+        for orbit_reduction in (True, False):
+            res = grundy_domination_exact(g, orbit_reduction=orbit_reduction)
+            assert res.best_length == length
+            assert res.best_sequence.order == order
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(2, 4), st.integers(2, 3), st.integers(0, 10**6)
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_hypergraph_unions_match_brute(self, specs, rnd):
+        edges = []
+        offset = 0
+        for n, m, seed in specs:
+            part = random_hypergraph(n, m, seed)
+            edges += [tuple(v + offset for v in e) for e in part.edges]
+            offset += n
+        perm = list(range(offset))
+        rnd.shuffle(perm)
+        rnd.shuffle(edges)
+        h = Hypergraph(offset, [[perm[v] for v in e] for e in edges])
+        cover = grundy_cover_exact(h)
+        assert cover.best_length == brute_rho(h)
+        assert first_longest_sequence(h.edges, range(h.n)) == (
+            cover.best_length,
+            cover.best_sequence,
+        )
+        transversal = grundy_transversal_exact(h)
+        assert transversal.best_length == brute_tau(h)
+        incidences = [{j for j, e in enumerate(h.edges) if v in e} for v in range(h.n)]
+        assert first_longest_sequence(incidences, range(h.m)) == (
+            transversal.best_length,
+            transversal.best_sequence,
+        )
