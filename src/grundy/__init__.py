@@ -69,6 +69,7 @@ from .generators import (
     ChainProfile,
     XorShift64Star,
     chain_from_profile,
+    parse_profile,
     random_chain_profile,
     random_graph,
     random_hypergraph,

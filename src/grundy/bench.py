@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .chain import grundy_chain, recognize_chain
 from .errors import InputError
-from .generators import ChainProfile, chain_from_profile
+from .generators import ChainProfile, chain_from_profile, parse_profile
 
 __all__ = ["BenchRow", "bench_profile", "parse_shape", "run_bench", "doubling_ratios"]
 
@@ -32,24 +32,14 @@ class BenchRow:
 
 
 def parse_shape(spec: str) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
-    """Parse a scaling shape like '*,1,1,1x1,1,1,1'.
-
-    Entries are part sizes; exactly one entry may be '*', the part that
+    """Parse a scaling shape like '*,1,1,1x1,1,1,1': a profile (see
+    generators.parse_profile) with exactly one '*' entry, the part that
     grows to reach the requested vertex count.
     """
-    try:
-        x_text, y_text = spec.split("x")
-        sizes_x = tuple(None if tok == "*" else int(tok) for tok in x_text.split(","))
-        sizes_y = tuple(None if tok == "*" else int(tok) for tok in y_text.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad shape spec {spec!r}") from exc
-    if len(sizes_x) != len(sizes_y):
-        raise InputError("shape needs the same class count on both sides")
+    sizes_x, sizes_y = parse_profile(spec)
     stars = (sizes_x + sizes_y).count(None)
     if stars != 1:
         raise InputError(f"shape needs exactly one '*' part, got {stars}")
-    if any(s is not None and s < 1 for s in sizes_x + sizes_y):
-        raise InputError("shape part sizes must be positive")
     return sizes_x, sizes_y
 
 

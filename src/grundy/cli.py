@@ -27,7 +27,13 @@ from .errors import (
     VerificationError,
 )
 from .exact import HARD_CAP, grundy_domination_exact
-from .generators import ChainProfile, chain_from_profile, random_graph, random_hypergraph
+from .generators import (
+    ChainProfile,
+    chain_from_profile,
+    parse_profile,
+    random_graph,
+    random_hypergraph,
+)
 from .graph import load_graph, read_text, save_graph
 from .hypergraph import load_hypergraph, save_hypergraph
 from .reductions import format_roles, graph_to_cobipartite, hypergraph_to_bipartite
@@ -183,21 +189,12 @@ def cmd_reduce(args) -> int:
 # ---- gen -------------------------------------------------------------------
 
 
-def _parse_profile(spec: str) -> ChainProfile:
-    try:
-        x_text, y_text = spec.split("x")
-        sizes_x = tuple(int(tok) for tok in x_text.split(","))
-        sizes_y = tuple(int(tok) for tok in y_text.split(","))
-    except ValueError as exc:
-        raise InputError(
-            f"profile must look like '1,2,1x2,1,3' (X sizes, then Y sizes), got {spec!r}"
-        ) from exc
-    return ChainProfile(sizes_x, sizes_y)
-
-
 def cmd_gen(args) -> int:
     if args.kind == "chain":
-        g = chain_from_profile(_parse_profile(args.profile))
+        sizes_x, sizes_y = parse_profile(args.profile)
+        if None in sizes_x + sizes_y:
+            raise InputError(f"gen chain takes no '*' part, got {args.profile!r}")
+        g = chain_from_profile(ChainProfile(sizes_x, sizes_y))
         save_graph(g, args.out)
         summary = [("kind", "chain"), ("n", g.n), ("m", g.edge_count)]
     elif args.kind == "graph":
@@ -215,14 +212,27 @@ def cmd_gen(args) -> int:
 # ---- bench -----------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+_INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _int_at_least(minimum: int | None):
+    """An argparse type: an integer no smaller than minimum (any integer
+    when minimum is None)."""
+    kind = _INT_KINDS.get(minimum, f"an integer >= {minimum}")
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if minimum is None or value >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -255,48 +265,15 @@ def cmd_bench(args) -> int:
 # ---- sweep -----------------------------------------------------------------
 
 
-def _finish_sweep(name: str, checked: int, failures) -> int:
-    print(f"sweep={name}")
-    print(f"checked={checked}")
-    print(f"failures={len(failures)}")
-    for line in failures[:50]:
-        print(f"failure={line}")
-    return EXIT_OK if not failures else EXIT_VERIFY
-
-
 def cmd_sweep(args) -> int:
-    jobs = args.jobs
-    if args.family == "chain":
-        profiles = sweeps.exhaustive_profiles(args.max_k, args.max_part, args.max_vertices)
-        profiles += [
-            sweeps.random_chain_profile(args.random_vertices, args.seed + i)
-            for i in range(args.random)
-        ]
-        report = sweeps.chain_sweep(profiles, jobs=jobs)
-        failures = (
-            report.gamma_mismatches
-            + report.witness_failures
-            + report.alpha_mismatches
-            + report.sandwich_failures
-            + report.structure_failures
-        )
-        return _finish_sweep("chain", report.checked, failures)
-    if args.family == "duality":
-        outcome = sweeps.duality_exhaustive_sweep(args.n_max, args.m_max, jobs=jobs)
-        random_part = sweeps.duality_random_sweep(
-            args.random, seed=args.seed, jobs=jobs
-        )
-        outcome.merge(random_part)
-        return _finish_sweep("duality", outcome.checked, outcome.failures)
-    if args.family == "bipartite":
-        instances = sweeps.exhaustive_hypergraphs()
-        instances += sweeps.random_reduction_hypergraphs(args.random, seed=args.seed)
-        outcome = sweeps.bipartite_equivalence_sweep(instances, jobs=jobs)
-        return _finish_sweep("bipartite", outcome.checked, outcome.failures)
-    instances = sweeps.exhaustive_graphs(args.n_max)
-    instances += sweeps.random_reduction_graphs(args.random, seed=args.seed)
-    outcome = sweeps.cobipartite_equivalence_sweep(instances, jobs=jobs)
-    return _finish_sweep("cobipartite", outcome.checked, outcome.failures)
+    family = sweeps.FAMILIES[args.family]
+    outcome = family.run(args.jobs, **{p.name: getattr(args, p.name) for p in family.params})
+    print(f"sweep={family.name}")
+    print(f"checked={outcome.checked}")
+    print(f"failures={len(outcome.failures)}")
+    for line in outcome.failures[:50]:
+        print(f"failure={line}")
+    return EXIT_OK if outcome.ok else EXIT_VERIFY
 
 
 # ---- wiring ----------------------------------------------------------------
@@ -366,42 +343,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="run an equivalence sweep")
-    p.add_argument("family", choices=["chain", "duality", "bipartite", "cobipartite"])
-    p.add_argument(
-        "--jobs", type=_job_count, default=None, help="worker processes, at most the usable CPUs"
-    )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--random", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--max-part", type=int, default=3)
-    p.add_argument("--max-vertices", type=int, default=16)
-    p.add_argument("--random-vertices", type=int, default=18)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=5)
-    p.set_defaults(func=cmd_sweep)
+    family_sub = p.add_subparsers(dest="family", required=True, metavar="FAMILY")
+    for family in sweeps.FAMILIES.values():
+        pf = family_sub.add_parser(family.name, help=family.help)
+        pf.add_argument(
+            "--jobs", type=_job_count, default=None, help="worker processes, at most the usable CPUs"
+        )
+        for param in family.params:
+            limit = "" if param.cap is None else f", at most {param.cap}"
+            pf.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=_int_at_least(param.minimum),
+                default=param.default,
+                help=f"{param.help} (default {param.default}{limit})",
+            )
+        pf.set_defaults(func=cmd_sweep)
     return parser
 
 
-_SWEEP_RANDOM_DEFAULTS = {"chain": 1000, "duality": 500, "bipartite": 200, "cobipartite": 200}
-_SWEEP_NMAX_DEFAULTS = {"duality": 6, "cobipartite": 5}
-_SWEEP_SEED_DEFAULTS = {"chain": 1, "duality": 11, "bipartite": 23, "cobipartite": 37}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep":
-        if args.random is None:
-            args.random = _SWEEP_RANDOM_DEFAULTS[args.family]
-        if args.n_max is None:
-            args.n_max = _SWEEP_NMAX_DEFAULTS.get(args.family, 6)
-        if args.seed is None:
-            args.seed = _SWEEP_SEED_DEFAULTS[args.family]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (BudgetExceededError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -411,10 +374,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GrundyError as exc:
+    except (OSError, GrundyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -25,6 +25,7 @@ __all__ = [
     "XorShift64Star",
     "ChainProfile",
     "chain_from_profile",
+    "parse_profile",
     "random_graph",
     "random_hypergraph",
     "random_chain_profile",
@@ -81,6 +82,21 @@ class ChainProfile:
     @property
     def total_vertices(self) -> int:
         return sum(self.sizes_x) + sum(self.sizes_y)
+
+
+def parse_profile(spec: str) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+    """Parse an 'AxB' profile such as '1,2,1x2,1,3': the X class sizes, an
+    'x', then the Y class sizes. A '*' entry comes back as None."""
+    try:
+        sizes_x, sizes_y = (
+            tuple(None if tok == "*" else int(tok) for tok in side.split(","))
+            for side in spec.split("x")
+        )
+    except ValueError as exc:
+        raise InputError(f"profile must look like '1,2,1x2,1,3', got {spec!r}") from exc
+    if len(sizes_x) != len(sizes_y) or any(s is not None and s < 1 for s in sizes_x + sizes_y):
+        raise InputError(f"profile needs positive sizes, as many for X as for Y, got {spec!r}")
+    return sizes_x, sizes_y
 
 
 def chain_from_profile(profile: ChainProfile) -> Graph:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, SizeCapError
 
 __all__ = [
     "Graph",
@@ -159,7 +159,11 @@ def complement(g: Graph) -> Graph:
 #
 # line 1:  n m
 # then m lines:  u v          (0-based endpoints)
-# lines starting with '#' are comments; blank lines are ignored
+# a line whose first non-blank character is '#' is a comment; blank lines
+# are ignored. Hypergraph files share this layout, sequence files the
+# comment rule.
+
+MAX_FILE_VERTICES = 1 << 22  # largest n a file header may declare
 
 
 def _data_lines(text: str) -> list[str]:
@@ -171,34 +175,41 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
-def parse_graph(text: str) -> Graph:
+def _parse_counted(text: str, what: str, build, pairs: bool = False):
+    """Parse an 'n m' header and the m lines of integers after it, and hand
+    them to build(n, rows). n is checked against MAX_FILE_VERTICES before
+    build can allocate anything n-sized; build's InputErrors become
+    FormatErrors."""
     lines = _data_lines(text)
     if not lines:
-        raise FormatError("empty graph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"expected header 'n m', got {lines[0]!r}")
+        raise FormatError(f"empty {what} file")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = map(int, lines[0].split())
     except ValueError as exc:
-        raise FormatError(f"non-integer header {lines[0]!r}") from exc
+        raise FormatError(f"expected header 'n m' of two integers, got {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise FormatError(f"negative counts in header {lines[0]!r}")
+    if n > MAX_FILE_VERTICES:
+        raise SizeCapError(n, MAX_FILE_VERTICES, what="vertices in the file header")
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} edges, file has {len(lines) - 1}")
-    edges = []
+    rows = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
+        tokens = line.split()
+        if pairs and len(tokens) != 2:
             raise FormatError(f"expected edge 'u v', got {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            rows.append([int(tok) for tok in tokens])
         except ValueError as exc:
             raise FormatError(f"non-integer edge line {line!r}") from exc
     try:
-        return Graph.from_edges(n, edges)
+        return build(n, rows)
     except InputError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def parse_graph(text: str) -> Graph:
+    return _parse_counted(text, "graph", Graph.from_edges, pairs=True)
 
 
 def format_graph(g: Graph) -> str:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import FormatError, InputError
-from .graph import read_text
+from .errors import InputError
+from .graph import _parse_counted, read_text
 
 __all__ = [
     "Hypergraph",
@@ -132,35 +132,11 @@ def is_legal_transversal_sequence(h: Hypergraph, seq: Sequence[int]) -> bool:
 #
 # line 1:  n m
 # then m lines, each the space-separated vertex indices of one edge
+# (header and comments as in the graph format)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not lines:
-        raise FormatError("empty hypergraph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise FormatError(f"non-integer header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise FormatError(f"header promises {m} edges, file has {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        try:
-            edges.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise FormatError(f"non-integer edge line {line!r}") from exc
-    try:
-        return Hypergraph(n, edges)
-    except InputError as exc:
-        raise FormatError(str(exc)) from exc
+    return _parse_counted(text, "hypergraph", Hypergraph)
 
 
 def format_hypergraph(h: Hypergraph) -> str:

@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import DuplicateVertexError, FormatError, IllegalStepError, InputError
-from .graph import Graph
+from .graph import Graph, _data_lines
 
 __all__ = [
     "VertexSequence",
@@ -149,11 +149,7 @@ def check_subset_ordering(g: Graph, seq: VertexSequence | Iterable[int]) -> bool
 
 
 def parse_sequence(text: str) -> list[int]:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = _data_lines(text)
     if len(lines) != 1:
         raise FormatError(f"expected exactly one data line, got {len(lines)}")
     try:

@@ -3,8 +3,13 @@
 Each sweep pits two independent computations against each other across a
 whole family (fast chain solver vs exhaustive search, covering vs
 transversal numbers, gadget vs source). Workers are plain module-level
-functions over compact descriptors so the sweeps can fan out across
-processes with --jobs.
+functions over compact descriptors that return (checked, failures), so one
+runner can fan any of them out across processes with --jobs.
+
+FAMILIES is the one table of sweep families: for each, the integers it
+reads, their defaults (the acceptance suite's values), their limits, and
+the function that builds the family's tasks and runs them. The CLI and the
+acceptance suite both read it. It builds no instances until a family runs.
 
 The exhaustive duality family enumerates distinct-edge hypergraphs only:
 a duplicated edge can never contribute a new vertex and never supplies a
@@ -15,14 +20,20 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
+from typing import Callable, NamedTuple
 
 from .chain import (
     grundy_chain,
     independence_number_chain,
     recognize_chain,
 )
+from .errors import InputError, SizeCapError
 from .exact import (
+    HARD_CAP,
     grundy_cover_exact,
     grundy_domination_exact,
     grundy_transversal_exact,
@@ -43,20 +54,26 @@ from .reductions import graph_to_cobipartite, hypergraph_to_bipartite
 from .sequences import check_closed_neighborhood_sequence, check_subset_ordering
 
 __all__ = [
+    "FAMILIES",
+    "SweepFamily",
+    "SweepParam",
     "SweepOutcome",
     "ChainSweepReport",
     "exhaustive_profiles",
-    "acceptance_profiles",
     "chain_sweep",
     "duality_exhaustive_sweep",
     "duality_random_sweep",
     "exhaustive_hypergraphs",
     "random_reduction_hypergraphs",
-    "bipartite_equivalence_sweep",
     "exhaustive_graphs",
     "random_reduction_graphs",
-    "cobipartite_equivalence_sweep",
 ]
+
+# The chain sweep brute-forces independence numbers up to this many vertices.
+ALPHA_CAP = 14
+# Exhaustive duality instances go to the workers in blocks of this many, and
+# the first of every block is recomputed by the memoized engine.
+DUALITY_BLOCK = 4096
 
 
 @dataclass
@@ -68,25 +85,23 @@ class SweepOutcome:
     def ok(self) -> bool:
         return not self.failures
 
-    def merge(self, other: "SweepOutcome") -> None:
-        self.checked += other.checked
-        self.failures.extend(other.failures)
 
-
-def _run_tasks(worker, tasks, jobs: int | None, chunksize: int = 1):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(worker, tasks, chunksize=chunksize)
-    else:
-        yield from map(worker, tasks)
+def _run(worker, tasks, jobs: int | None, chunksize: int = 1) -> SweepOutcome:
+    """Map worker over tasks, across `jobs` processes when jobs > 1, and add
+    up the (checked, failures) pair each task returns."""
+    outcome = SweepOutcome()
+    with ProcessPoolExecutor(jobs) if jobs and jobs > 1 else nullcontext() as pool:
+        results = pool.map(worker, tasks, chunksize=chunksize) if pool else map(worker, tasks)
+        for checked, failures in results:
+            outcome.checked += checked
+            outcome.failures.extend(failures)
+    return outcome
 
 
 # ---- chain family ----------------------------------------------------------
 
 
-def exhaustive_profiles(
-    max_k: int = 4, max_part: int = 3, max_vertices: int = 16
-) -> list[ChainProfile]:
+def exhaustive_profiles(max_k: int, max_part: int, max_vertices: int) -> list[ChainProfile]:
     """Every twin-class profile with k <= max_k, parts <= max_part and the
     stated vertex budget."""
     out = []
@@ -99,119 +114,84 @@ def exhaustive_profiles(
     return out
 
 
-def acceptance_profiles(random_count: int = 1000, max_vertices: int = 18, seed: int = 1):
-    """Exhaustive small profiles plus the seeded random batch."""
-    profiles = exhaustive_profiles()
-    profiles.extend(
-        random_chain_profile(max_vertices, seed + i) for i in range(random_count)
-    )
-    return profiles
+# ChainSweepReport's lists, each named after its check and then a noun
+_CHAIN_VIEWS = "gamma_mismatches witness_failures alpha_mismatches sandwich_failures structure_failures"
 
 
-@dataclass
-class ChainSweepReport:
-    checked: int = 0
-    gamma_mismatches: list[str] = field(default_factory=list)
-    witness_failures: list[str] = field(default_factory=list)
-    alpha_mismatches: list[str] = field(default_factory=list)
-    sandwich_failures: list[str] = field(default_factory=list)
-    structure_failures: list[str] = field(default_factory=list)
+def _failures_of(check: str) -> property:
+    prefix = check + ": "
+    return property(lambda self: [f[len(prefix):] for f in self.failures if f.startswith(prefix)])
 
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.gamma_mismatches
-            or self.witness_failures
-            or self.alpha_mismatches
-            or self.sandwich_failures
-            or self.structure_failures
-        )
+
+class ChainSweepReport(SweepOutcome):
+    """A chain sweep's outcome. Each failure line starts with the name of
+    the check that failed, as in "gamma: X(1, 2)/Y(2, 1) chain=3 exact=4".
+    The five list attributes view those lines one check each, without the
+    name; the constructor takes them too, so dataclasses.replace can set them.
+    """
+
+    def __init__(self, checked: int = 0, failures=(), **views):
+        super().__init__(checked, list(failures))
+        for view, labels in views.items():
+            if view not in _CHAIN_VIEWS.split():
+                raise TypeError(f"unexpected keyword argument {view!r}")
+            self.failures += [f"{view.split('_')[0]}: {label}" for label in labels]
+
+    gamma_mismatches = _failures_of("gamma")
+    witness_failures = _failures_of("witness")
+    alpha_mismatches = _failures_of("alpha")
+    sandwich_failures = _failures_of("sandwich")
+    structure_failures = _failures_of("structure")
 
 
 def _observation_identities_hold(cs) -> bool:
-    """N(X_i) must equal Y_1..Y_i and N(Y_j) must equal X_j..X_k."""
-    g = cs.graph
-    y_prefix: set[int] = set()
-    for i, part in enumerate(cs.x_parts):
-        y_prefix.update(cs.y_parts[i])
-        neigh = set()
-        for v in part:
-            neigh.update(g.adjacency[v])
-        if neigh != y_prefix:
-            return False
-    x_suffix: set[int] = set()
-    for j in range(cs.k - 1, -1, -1):
-        x_suffix.update(cs.x_parts[j])
-        neigh = set()
-        for v in cs.y_parts[j]:
-            neigh.update(g.adjacency[v])
-        if neigh != x_suffix:
-            return False
-    return True
+    """N(X_i) must equal Y_1..Y_i and N(Y_i) must equal X_i..X_k."""
+    adj = cs.graph.adjacency
+
+    def reach(part) -> set[int]:
+        return {u for v in part for u in adj[v]}
+
+    return all(
+        reach(cs.x_parts[i]) == set().union(*cs.y_parts[: i + 1])
+        and reach(cs.y_parts[i]) == set().union(*cs.x_parts[i:])
+        for i in range(cs.k)
+    )
 
 
 def _chain_case(task):
-    sizes_x, sizes_y, alpha_cap = task
-    profile = ChainProfile(sizes_x, sizes_y)
+    sizes_x, sizes_y = task
     label = f"X{sizes_x}/Y{sizes_y}"
-    g = chain_from_profile(profile)
+    g = chain_from_profile(ChainProfile(sizes_x, sizes_y))
     cs = recognize_chain(g)
-    result = {
-        "label": label,
-        "gamma_ok": True,
-        "witness_ok": True,
-        "alpha_ok": True,
-        "sandwich_ok": True,
-        "structure_ok": True,
-    }
-    recovered = (
-        tuple(len(p) for p in cs.x_parts),
-        tuple(len(p) for p in cs.y_parts),
-    )
-    if recovered not in ((sizes_x, sizes_y), (sizes_y, sizes_x)):
-        result["structure_ok"] = False
-    if not _observation_identities_hold(cs):
-        result["structure_ok"] = False
+    failures = []
+    recovered = tuple(len(p) for p in cs.x_parts), tuple(len(p) for p in cs.y_parts)
+    if recovered not in ((sizes_x, sizes_y), (sizes_y, sizes_x)) or not _observation_identities_hold(cs):
+        failures.append(f"structure: {label}")
 
     seq = grundy_chain(cs)
     gamma_chain = len(seq)
-    exact = grundy_domination_exact(g)
-    if gamma_chain != exact.best_length:
-        result["gamma_ok"] = False
-        result["label"] += f" chain={gamma_chain} exact={exact.best_length}"
+    gamma_exact = grundy_domination_exact(g).best_length
+    if gamma_chain != gamma_exact:
+        failures.append(f"gamma: {label} chain={gamma_chain} exact={gamma_exact}")
     checked_seq = check_closed_neighborhood_sequence(g, seq.order)
     if checked_seq.covered() != g.n or not check_subset_ordering(g, checked_seq):
-        result["witness_ok"] = False
+        failures.append(f"witness: {label}")
 
     alpha_chain = independence_number_chain(cs)
     if gamma_chain - alpha_chain not in (0, 1):
-        result["sandwich_ok"] = False
-    if g.n <= alpha_cap and independence_number_exact(g) != alpha_chain:
-        result["alpha_ok"] = False
-    return result
+        failures.append(f"sandwich: {label}")
+    if g.n <= ALPHA_CAP and independence_number_exact(g) != alpha_chain:
+        failures.append(f"alpha: {label}")
+    return 1, failures
 
 
-def chain_sweep(
-    profiles, jobs: int | None = None, alpha_cap: int = 14
-) -> ChainSweepReport:
+def chain_sweep(profiles, jobs: int | None = None) -> ChainSweepReport:
     """Compare the chain solver against exhaustive search over a family,
     checking witnesses, twin-partition identities and the independence
     number on the way."""
-    report = ChainSweepReport()
-    tasks = [(p.sizes_x, p.sizes_y, alpha_cap) for p in profiles]
-    for res in _run_tasks(_chain_case, tasks, jobs, chunksize=16):
-        report.checked += 1
-        if not res["gamma_ok"]:
-            report.gamma_mismatches.append(res["label"])
-        if not res["witness_ok"]:
-            report.witness_failures.append(res["label"])
-        if not res["alpha_ok"]:
-            report.alpha_mismatches.append(res["label"])
-        if not res["sandwich_ok"]:
-            report.sandwich_failures.append(res["label"])
-        if not res["structure_ok"]:
-            report.structure_failures.append(res["label"])
-    return report
+    tasks = [(p.sizes_x, p.sizes_y) for p in profiles]
+    outcome = _run(_chain_case, tasks, jobs, chunksize=16)
+    return ChainSweepReport(outcome.checked, outcome.failures)
 
 
 # ---- covering / transversal duality ----------------------------------------
@@ -241,8 +221,7 @@ def _brute_max_len(masks: tuple[int, ...], full: int) -> int:
 
 def _dual_case(task):
     """Check tau == rho for a block of edge-mask tuples on n vertices."""
-    n, instances, engine_stride = task
-    checked = 0
+    n, instances = task
     failures = []
     for idx, edge_masks in enumerate(instances):
         rho = _brute_max_len(edge_masks, (1 << n) - 1)
@@ -252,36 +231,24 @@ def _dual_case(task):
             for v in range(n)
         )
         tau = _brute_max_len(vertex_masks, (1 << m) - 1)
-        checked += 1
         if rho != tau:
             failures.append(f"n={n} masks={edge_masks} rho={rho} tau={tau}")
-            continue
-        if engine_stride and idx % engine_stride == 0:
-            h = Hypergraph(n, [_mask_to_edge(em) for em in edge_masks])
-            engine_rho, engine_tau = rho_tau_values(h)
-            if (engine_rho, engine_tau) != (rho, tau):
-                failures.append(
-                    f"engine disagrees on n={n} masks={edge_masks}: "
-                    f"brute ({rho},{tau}) vs engine ({engine_rho},{engine_tau})"
-                )
-    return checked, failures
+        elif idx == 0:
+            engine = rho_tau_values(Hypergraph(n, [_mask_to_edge(em) for em in edge_masks]))
+            if engine != (rho, tau):
+                failures.append(f"engine (rho, tau)={engine} on n={n} masks={edge_masks}, brute {rho}")
+    return len(instances), failures
 
 
 def _mask_to_edge(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def duality_exhaustive_sweep(
-    n_max: int = 6,
-    m_max: int = 5,
-    jobs: int | None = None,
-    engine_stride: int = 4096,
-    block: int = 4096,
-) -> SweepOutcome:
+def duality_exhaustive_sweep(n_max: int, m_max: int, jobs: int | None = None) -> SweepOutcome:
     """tau == rho over every distinct-edge hypergraph with no isolated
-    vertex, n <= n_max and at most m_max edges. Every engine_stride-th
-    instance is recomputed with the memoized engine as a cross-check."""
-    outcome = SweepOutcome()
+    vertex, n <= n_max and at most m_max edges. Every DUALITY_BLOCK-th
+    instance of each (n, m) is recomputed with the memoized engine as a
+    cross-check."""
 
     def tasks():
         for n in range(1, n_max + 1):
@@ -295,16 +262,13 @@ def duality_exhaustive_sweep(
                         union |= em
                     if union == full:
                         buf.append(combo)
-                        if len(buf) == block:
-                            yield (n, buf, engine_stride)
+                        if len(buf) == DUALITY_BLOCK:
+                            yield (n, buf)
                             buf = []
                 if buf:
-                    yield (n, buf, engine_stride)
+                    yield (n, buf)
 
-    for checked, failures in _run_tasks(_dual_case, tasks(), jobs):
-        outcome.checked += checked
-        outcome.failures.extend(failures)
-    return outcome
+    return _run(_dual_case, tasks(), jobs)
 
 
 def _dual_random_case(task):
@@ -317,63 +281,48 @@ def _dual_random_case(task):
     return 1, []
 
 
-def duality_random_sweep(
-    count: int = 500,
-    n_max: int = 8,
-    m_max: int = 6,
-    seed: int = 11,
-    jobs: int | None = None,
-) -> SweepOutcome:
-    """tau == rho on seeded random hypergraphs, through the full public
-    solvers including witness re-verification."""
+def duality_random_sweep(count: int, seed: int, jobs: int | None = None) -> SweepOutcome:
+    """tau == rho on seeded random hypergraphs with 2..8 vertices and 2..6
+    edges, through the full public solvers including witness
+    re-verification."""
     rng = XorShift64Star(seed)
     tasks = []
     for i in range(count):
-        n = 2 + rng.next_below(n_max - 1)
-        m = 2 + rng.next_below(m_max - 1)
+        n = 2 + rng.next_below(7)
+        m = 2 + rng.next_below(5)
         tasks.append((n, m, seed + 1000 + i))
-    outcome = SweepOutcome()
-    for checked, failures in _run_tasks(_dual_random_case, tasks, jobs, chunksize=32):
-        outcome.checked += checked
-        outcome.failures.extend(failures)
-    return outcome
+    return _run(_dual_random_case, tasks, jobs, chunksize=32)
 
 
 # ---- gadget equivalence ----------------------------------------------------
 
 
-def exhaustive_hypergraphs(n_values=(2, 3, 4), m_values=(2, 3)) -> list[Hypergraph]:
+def exhaustive_hypergraphs() -> list[Hypergraph]:
     """Every edge multiset (duplicates allowed, order canonical) covering
-    the ground set, for the given vertex and edge counts. Duplicates matter
+    the ground set, with 2..4 vertices and 2 or 3 edges. Duplicates matter
     here: the gadget gets one vertex pair per edge occurrence."""
     out = []
-    for n in n_values:
-        full = (1 << n) - 1
-        universe = [_mask_to_edge(mask) for mask in range(1, 1 << n)]
-        for m in m_values:
-            for combo in itertools.combinations_with_replacement(universe, m):
-                union = 0
-                for edge in combo:
-                    for v in edge:
-                        union |= 1 << v
-                if union == full:
-                    out.append(Hypergraph(n, combo))
+    for n in (2, 3, 4):
+        for m in (2, 3):
+            for combo in itertools.combinations_with_replacement(range(1, 1 << n), m):
+                if reduce(or_, combo) == (1 << n) - 1:
+                    out.append(Hypergraph(n, [_mask_to_edge(mask) for mask in combo]))
     return out
 
 
-def random_reduction_hypergraphs(
-    count: int = 200, seed: int = 23, n_max: int = 5, m_max: int = 4
-) -> list[Hypergraph]:
+def random_reduction_hypergraphs(count: int, seed: int) -> list[Hypergraph]:
+    """Seeded random hypergraphs with 2..5 vertices and 2..4 edges."""
     rng = XorShift64Star(seed)
     out = []
     for i in range(count):
-        n = 2 + rng.next_below(n_max - 1)
-        m = 2 + rng.next_below(m_max - 1)
+        n = 2 + rng.next_below(4)
+        m = 2 + rng.next_below(3)
         out.append(random_hypergraph(n, m, seed + 5000 + i))
     return out
 
 
 def _bipartite_case(task):
+    """gamma of the bipartite gadget must exceed n+m by exactly rho."""
     n, edges = task
     h = Hypergraph(n, edges)
     rho = grundy_cover_exact(h).best_length
@@ -385,17 +334,7 @@ def _bipartite_case(task):
     return 1, []
 
 
-def bipartite_equivalence_sweep(hypergraphs, jobs: int | None = None) -> SweepOutcome:
-    """gamma of the bipartite gadget must exceed n+m by exactly rho."""
-    tasks = [(h.n, h.edges) for h in hypergraphs]
-    outcome = SweepOutcome()
-    for checked, failures in _run_tasks(_bipartite_case, tasks, jobs, chunksize=4):
-        outcome.checked += checked
-        outcome.failures.extend(failures)
-    return outcome
-
-
-def exhaustive_graphs(n_max: int = 5) -> list[Graph]:
+def exhaustive_graphs(n_max: int) -> list[Graph]:
     """Every labeled graph on 1..n_max vertices."""
     out = []
     for n in range(1, n_max + 1):
@@ -406,17 +345,19 @@ def exhaustive_graphs(n_max: int = 5) -> list[Graph]:
     return out
 
 
-def random_reduction_graphs(count: int = 200, seed: int = 37, n_max: int = 8) -> list[Graph]:
+def random_reduction_graphs(count: int, seed: int) -> list[Graph]:
+    """Seeded random graphs with 1..8 vertices and edge probability 0.1..0.9."""
     rng = XorShift64Star(seed)
     out = []
     for i in range(count):
-        n = 1 + rng.next_below(n_max)
+        n = 1 + rng.next_below(8)
         prob = (1 + rng.next_below(9)) / 10
         out.append(random_graph(n, prob, seed + 9000 + i))
     return out
 
 
 def _cobipartite_case(task):
+    """gamma of the co-bipartite gadget must equal gamma of the source."""
     n, edges = task
     g = Graph.from_edges(n, edges)
     gamma_src = grundy_domination_exact(g).best_length
@@ -427,11 +368,112 @@ def _cobipartite_case(task):
     return 1, []
 
 
-def cobipartite_equivalence_sweep(graphs, jobs: int | None = None) -> SweepOutcome:
-    """gamma of the co-bipartite gadget must equal gamma of the source."""
-    tasks = [(g.n, tuple(g.edges())) for g in graphs]
-    outcome = SweepOutcome()
-    for checked, failures in _run_tasks(_cobipartite_case, tasks, jobs, chunksize=8):
-        outcome.checked += checked
-        outcome.failures.extend(failures)
-    return outcome
+# ---- the family table ------------------------------------------------------
+
+
+# NamedTuples rather than dataclasses: the table is built on import, and a
+# frozen dataclass costs about a millisecond of start-up each.
+class SweepParam(NamedTuple):
+    """One integer a sweep family reads; the CLI offers it as --NAME, with
+    dashes for underscores. A value below minimum (None: no minimum) is an
+    input error; one above cap is refused before anything is enumerated."""
+
+    name: str
+    default: int
+    help: str
+    minimum: int | None = 1
+    cap: int | None = None
+
+
+class SweepFamily(NamedTuple):
+    name: str
+    help: str
+    params: tuple[SweepParam, ...]
+    sweep: Callable[..., SweepOutcome]
+
+    def run(self, jobs: int | None = None, **values: int) -> SweepOutcome:
+        """Run the family; parameters not given take their defaults."""
+        settings = {p.name: p.default for p in self.params} | values
+        for p in self.params:
+            value = settings[p.name]
+            if p.minimum is not None and value < p.minimum:
+                raise InputError(f"{self.name} sweep: {p.name} must be at least {p.minimum}, got {value}")
+            if p.cap is not None and value > p.cap:
+                raise SizeCapError(value, p.cap, what=f"({self.name} sweep {p.name})")
+        return self.sweep(jobs, **settings)
+
+
+FAMILIES: dict[str, SweepFamily] = {}
+
+
+def _family(name: str, help: str, *params: SweepParam):
+    """Enter the decorated function, which builds the family's tasks from
+    the parameter values and runs them, in FAMILIES."""
+
+    def register(sweep):
+        FAMILIES[name] = SweepFamily(name, help, params, sweep)
+        return sweep
+
+    return register
+
+
+def _random(default: int) -> SweepParam:
+    return SweepParam("random", default, "number of seeded random instances", minimum=0)
+
+
+def _seed(default: int) -> SweepParam:
+    return SweepParam("seed", default, "seed of the random instances", minimum=None)
+
+
+@_family(
+    "chain",
+    "chain solver vs exhaustive search on twin-class profiles",
+    # at both caps the profile loop tries 5^2 + 5^4 + 5^6 + 5^8 = 406,900 candidates
+    SweepParam("max_k", 4, "most twin classes per side of the exhaustive profiles", cap=4),
+    SweepParam("max_part", 3, "largest class of the exhaustive profiles", cap=5),
+    # every profile also goes through the exact search
+    SweepParam("max_vertices", 16, "most vertices of the exhaustive profiles", cap=HARD_CAP),
+    _random(1000),
+    SweepParam("random_vertices", 18, "most vertices of the random profiles", minimum=2, cap=HARD_CAP),
+    _seed(1),
+)
+def _chain_family(jobs, max_k, max_part, max_vertices, random, random_vertices, seed):
+    profiles = exhaustive_profiles(max_k, max_part, max_vertices)
+    profiles += [random_chain_profile(random_vertices, seed + i) for i in range(random)]
+    return chain_sweep(profiles, jobs=jobs)
+
+
+@_family(
+    "duality",
+    "covering vs transversal number on hypergraphs",
+    SweepParam("n_max", 6, "most vertices of the exhaustive hypergraphs", cap=6),
+    SweepParam("m_max", 5, "most edges of the exhaustive hypergraphs", cap=5),
+    _random(500),
+    _seed(11),
+)
+def _duality_family(jobs, n_max, m_max, random, seed):
+    parts = duality_exhaustive_sweep(n_max, m_max, jobs), duality_random_sweep(random, seed, jobs)
+    return SweepOutcome(sum(p.checked for p in parts), [f for p in parts for f in p.failures])
+
+
+@_family(
+    "bipartite",
+    "bipartite gadget vs the Grundy cover number of its hypergraph",
+    _random(200),
+    _seed(23),
+)
+def _bipartite_family(jobs, random, seed):
+    hypergraphs = exhaustive_hypergraphs() + random_reduction_hypergraphs(random, seed)
+    return _run(_bipartite_case, [(h.n, h.edges) for h in hypergraphs], jobs, chunksize=4)
+
+
+@_family(
+    "cobipartite",
+    "co-bipartite gadget vs the Grundy domination number of its graph",
+    SweepParam("n_max", 5, "most vertices of the exhaustive graphs", cap=6),
+    _random(200),
+    _seed(37),
+)
+def _cobipartite_family(jobs, n_max, random, seed):
+    graphs = exhaustive_graphs(n_max) + random_reduction_graphs(random, seed)
+    return _run(_cobipartite_case, [(g.n, tuple(g.edges())) for g in graphs], jobs, chunksize=8)

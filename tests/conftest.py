@@ -7,10 +7,34 @@ ground truth for the solvers.
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 
 from grundy import Graph, Hypergraph
+
+
+@pytest.fixture
+def memory_limit():
+    """Cap this process's address space at 512 MiB above its current size
+    for one test. A test of a guard against header-sized allocations then
+    fails with MemoryError, instead of filling the machine, if the guard
+    is ever lost."""
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        pytest.skip("needs /proc/self/statm to size the limit")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = size + (512 << 20)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 # ---- small graph builders --------------------------------------------------

@@ -21,18 +21,7 @@ from grundy import (
     recognize_chain,
 )
 from grundy.bench import doubling_ratios, run_bench
-from grundy.sweeps import (
-    acceptance_profiles,
-    bipartite_equivalence_sweep,
-    chain_sweep,
-    cobipartite_equivalence_sweep,
-    duality_exhaustive_sweep,
-    duality_random_sweep,
-    exhaustive_graphs,
-    exhaustive_hypergraphs,
-    random_reduction_graphs,
-    random_reduction_hypergraphs,
-)
+from grundy.sweeps import FAMILIES
 
 from .conftest import complete_bipartite, path_graph, sample_hypergraph
 
@@ -41,19 +30,17 @@ JOBS = os.cpu_count() or 1
 
 @pytest.fixture(scope="module")
 def chain_report():
-    profiles = acceptance_profiles(random_count=1000, max_vertices=18, seed=1)
-    return chain_sweep(profiles, jobs=JOBS, alpha_cap=14), len(profiles)
+    return FAMILIES["chain"].run(jobs=JOBS)
 
 
 def test_criterion_1_chain_matches_exact(chain_report):
-    report, expected = chain_report
-    assert report.checked == expected
-    assert report.gamma_mismatches == []
-    assert report.witness_failures == []
-    assert report.structure_failures == []
+    assert chain_report.checked == 4646 + 1000
+    assert chain_report.gamma_mismatches == []
+    assert chain_report.witness_failures == []
+    assert chain_report.structure_failures == []
     print(
         f"\nCRITERION 1 (chain algorithm vs exhaustive search): PASS on "
-        f"{report.checked} instances, 0 mismatches"
+        f"{chain_report.checked} instances, 0 mismatches"
     )
 
 
@@ -70,49 +57,41 @@ def test_criterion_2_complete_bipartite():
 
 
 def test_criterion_3_alpha_sandwich(chain_report):
-    report, _ = chain_report
-    assert report.sandwich_failures == []
-    assert report.alpha_mismatches == []
+    assert chain_report.sandwich_failures == []
+    assert chain_report.alpha_mismatches == []
     print(
         f"\nCRITERION 3 (independence sandwich and brute-force alpha): PASS on "
-        f"{report.checked} instances"
+        f"{chain_report.checked} instances"
     )
 
 
 def test_criterion_4_bipartite_reduction_equivalence():
-    instances = exhaustive_hypergraphs(n_values=(2, 3, 4), m_values=(2, 3))
-    exhaustive_count = len(instances)
-    instances += random_reduction_hypergraphs(count=200, seed=23, n_max=5, m_max=4)
-    outcome = bipartite_equivalence_sweep(instances, jobs=JOBS)
-    assert outcome.checked == exhaustive_count + 200
+    outcome = FAMILIES["bipartite"].run(jobs=JOBS)
+    assert outcome.checked == 522 + 200
     assert outcome.failures == []
     print(
         f"\nCRITERION 4 (bipartite gadget equivalence): PASS on {outcome.checked} "
-        f"instances ({exhaustive_count} exhaustive + 200 random)"
+        "instances (522 exhaustive + 200 random)"
     )
 
 
 def test_criterion_5_cobipartite_reduction_equivalence():
-    instances = exhaustive_graphs(n_max=5)
-    exhaustive_count = len(instances)
-    instances += random_reduction_graphs(count=200, seed=37, n_max=8)
-    outcome = cobipartite_equivalence_sweep(instances, jobs=JOBS)
-    assert outcome.checked == exhaustive_count + 200
+    outcome = FAMILIES["cobipartite"].run(jobs=JOBS)
+    assert outcome.checked == 1099 + 200
     assert outcome.failures == []
     print(
         f"\nCRITERION 5 (co-bipartite gadget equivalence): PASS on {outcome.checked} "
-        f"instances ({exhaustive_count} exhaustive + 200 random)"
+        "instances (1099 exhaustive + 200 random)"
     )
 
 
 def test_criterion_6_hypergraph_duality():
-    outcome = duality_exhaustive_sweep(n_max=6, m_max=5, jobs=JOBS)
-    exhaustive_count = outcome.checked
-    outcome.merge(duality_random_sweep(count=500, n_max=8, m_max=6, seed=11, jobs=JOBS))
+    outcome = FAMILIES["duality"].run(jobs=JOBS)
+    assert outcome.checked == 6_687_290 + 500
     assert outcome.failures == []
     print(
         f"\nCRITERION 6 (covering/transversal duality): PASS on {outcome.checked} "
-        f"instances ({exhaustive_count} exhaustive + 500 random)"
+        "instances (6687290 exhaustive + 500 random)"
     )
 
 

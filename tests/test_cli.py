@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from grundy import cli
+from grundy import cli, sweeps
 from grundy.cli import main
 from grundy import Graph, format_graph, load_graph
 
@@ -198,11 +198,16 @@ class TestGen:
         g = load_graph(str(out_path))
         assert g.n == 6
 
-    def test_bad_profile_spec(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "gen", "chain", "--profile", "nonsense", "--out", str(tmp_path / "x")
+    @pytest.mark.parametrize(
+        "spec", ["nonsense", "1,2x1", "0x1", "1x", "x", "1x1x1", "*,1x1,1", "1x*"]
+    )
+    def test_bad_profile_spec(self, tmp_path, capsys, spec):
+        code, _, err = run(
+            capsys, "gen", "chain", "--profile", spec, "--out", str(tmp_path / "x")
         )
         assert code == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "x").exists()
 
     def test_graph_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.graph", tmp_path / "b.graph"
@@ -277,39 +282,100 @@ class TestNotUtf8:
         assert "not valid UTF-8" in err
 
 
+@pytest.mark.usefixtures("memory_limit")
+class TestHeaderCap:
+    """A header n above the cap exits 3 before anything n-sized is built."""
+
+    def test_graph_file(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        path.write_text("1000000000000 0\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: 1000000000000 vertices in the file header exceeds the cap of 4194304\n"
+
+    def test_hypergraph_file(self, tmp_path, capsys):
+        path = tmp_path / "h.hg"
+        path.write_text("1000000000000 1\n0\n")
+        out_path = tmp_path / "out.graph"
+        code, _, err = run(capsys, "reduce", str(path), "--to", "bipartite", "--out", str(out_path))
+        assert code == 3
+        assert "exceeds the cap of 4194304" in err
+        assert not out_path.exists()
+
+
 class TestSweep:
-    def test_tiny_chain_sweep(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "sweep", "chain",
-            "--max-k", "2", "--max-part", "2", "--max-vertices", "8",
-            "--random", "5", "--random-vertices", "8",
-        )
+    # Full stdout of each run, as the CLI printed it before the sweep
+    # families moved into one table.
+    @pytest.mark.parametrize(
+        "argv, checked",
+        [
+            (
+                ["chain", "--max-k", "2", "--max-part", "2", "--max-vertices", "8",
+                 "--random", "5", "--random-vertices", "8"],
+                25,
+            ),
+            (["duality", "--n-max", "3", "--m-max", "3", "--random", "10"], 61),
+            (["cobipartite", "--n-max", "3", "--random", "5"], 16),
+            (["bipartite", "--random", "4", "--jobs", "2"], 526),
+        ],
+    )
+    def test_golden_output(self, capsys, argv, checked):
+        code, out, _ = run(capsys, "sweep", *argv)
         assert code == 0
-        report = machine_dict(out)
-        assert report["failures"] == "0"
-        assert int(report["checked"]) > 0
+        assert out == f"sweep={argv[0]}\nchecked={checked}\nfailures=0\n"
 
-    def test_tiny_duality_sweep(self, capsys):
-        code, out, _ = run(
-            capsys, "sweep", "duality", "--n-max", "3", "--m-max", "3", "--random", "10"
-        )
-        assert code == 0
-        assert machine_dict(out)["failures"] == "0"
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bipartite", "--n-max", "3"], "unrecognized arguments: --n-max 3"),
+            (["cobipartite", "--max-k", "2"], "unrecognized arguments: --max-k 2"),
+            (["duality", "--max-vertices", "8"], "unrecognized arguments: --max-vertices 8"),
+            (["bipartite", "--random", "-4"], "expected a non-negative integer, got '-4'"),
+            (["duality", "--n-max", "0"], "expected a positive integer, got '0'"),
+            (["chain", "--max-k", "-1"], "expected a positive integer, got '-1'"),
+            (["chain", "--random-vertices", "1"], "expected an integer >= 2, got '1'"),
+            (["cobipartite", "--seed", "x"], "expected an integer, got 'x'"),
+        ],
+    )
+    def test_bad_options_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", *argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        # an option of another family is unknown to the whole command line
+        usage = "usage: grundy " if "unrecognized" in message else f"usage: grundy sweep {argv[0]} "
+        assert err.startswith(usage)
+        assert message in err
+        assert "Traceback" not in err
 
-    def test_tiny_cobipartite_sweep(self, capsys):
-        code, out, _ = run(
-            capsys, "sweep", "cobipartite", "--n-max", "3", "--random", "5"
-        )
-        assert code == 0
-        assert machine_dict(out)["failures"] == "0"
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["cobipartite", "--n-max", "9"], 6),
+            (["duality", "--n-max", "7"], 6),
+            (["duality", "--m-max", "6"], 5),
+            (["chain", "--max-k", "5"], 4),
+            (["chain", "--max-part", "6"], 5),
+            (["chain", "--max-vertices", "21"], 20),
+            (["chain", "--random-vertices", "21"], 20),
+        ],
+    )
+    def test_oversized_bounds_stop_before_the_sweep(self, capsys, monkeypatch, argv, cap):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
 
-    def test_tiny_bipartite_sweep_with_jobs(self, capsys):
-        code, out, _ = run(
-            capsys, "sweep", "bipartite", "--random", "4", "--jobs", "2"
-        )
+        family = sweeps.FAMILIES[argv[0]]
+        monkeypatch.setitem(sweeps.FAMILIES, argv[0], family._replace(sweep=no_sweep))
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 3
+        assert out == ""
+        assert f"{argv[2]} ({argv[0]} sweep {argv[1][2:].replace('-', '_')}) exceeds the cap of {cap}" in err
+
+    def test_negative_seed_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "sweep", "bipartite", "--random", "2", "--seed", "-5")
         assert code == 0
-        assert machine_dict(out)["failures"] == "0"
+        assert out == "sweep=bipartite\nchecked=524\nfailures=0\n"
 
     @pytest.mark.parametrize("value", ["0", "-1", "two", "2.0", ""])
     def test_bad_jobs_is_usage_error(self, capsys, value):

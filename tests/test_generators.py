@@ -5,6 +5,7 @@ from grundy import (
     InputError,
     XorShift64Star,
     chain_from_profile,
+    parse_profile,
     random_chain_profile,
     random_graph,
     random_hypergraph,
@@ -44,6 +45,15 @@ class TestChainProfile:
     def test_rejects_mismatched_k(self):
         with pytest.raises(InputError):
             ChainProfile((1,), (1, 1))
+
+    def test_parse_profile(self):
+        assert parse_profile("1,2,1x2,1,3") == ((1, 2, 1), (2, 1, 3))
+        assert parse_profile("*,1x1,*") == ((None, 1), (1, None))
+
+    @pytest.mark.parametrize("spec", ["nonsense", "1,2x1", "0x1", "*,-1x1,1", "1x", "1x1x1", "1.5x1"])
+    def test_parse_profile_rejects(self, spec):
+        with pytest.raises(InputError):
+            parse_profile(spec)
 
     def test_p4_profile(self):
         g = chain_from_profile(ChainProfile((1, 1), (1, 1)))

@@ -6,6 +6,7 @@ from grundy import (
     Graph,
     InputError,
     FormatError,
+    SizeCapError,
     bipartition,
     closed_neighborhood,
     complement,
@@ -136,3 +137,20 @@ class TestTextFormat:
     def test_garbage_header(self):
         with pytest.raises(FormatError):
             parse_graph("three 2\n")
+
+    @pytest.mark.parametrize("text", ["-1 0\n", "2 -1\n"])
+    def test_negative_counts(self, text):
+        with pytest.raises(FormatError, match="negative counts"):
+            parse_graph(text)
+
+    def test_comment_must_start_the_line(self):
+        with pytest.raises(FormatError, match="expected edge"):
+            parse_graph("2 1\n0 1 # note\n")
+
+    @pytest.mark.usefixtures("memory_limit")
+    def test_header_vertex_cap(self):
+        # the cap is checked before any row is allocated
+        with pytest.raises(SizeCapError, match="exceeds the cap of 4194304"):
+            parse_graph(f"{(1 << 22) + 1} 0\n")
+        with pytest.raises(SizeCapError):
+            parse_graph("1000000000000 1\n0 1\n")

@@ -4,6 +4,7 @@ from grundy import (
     FormatError,
     Hypergraph,
     InputError,
+    SizeCapError,
     format_hypergraph,
     is_edge_cover,
     is_legal_edge_sequence,
@@ -140,3 +141,18 @@ class TestTextFormat:
         # a blank line is skipped, so the edge count no longer matches
         with pytest.raises(FormatError):
             parse_hypergraph("2 2\n0\n\n")
+
+    @pytest.mark.parametrize("text", ["-1 0\n", "2 -1\n", "-3 1\n0\n"])
+    def test_negative_counts(self, text):
+        with pytest.raises(FormatError, match="negative counts"):
+            parse_hypergraph(text)
+
+    def test_comment_must_start_the_line(self):
+        with pytest.raises(FormatError, match="non-integer edge line"):
+            parse_hypergraph("2 1\n0 1 # note\n")
+
+    @pytest.mark.usefixtures("memory_limit")
+    def test_header_vertex_cap(self):
+        # the cap is checked before the vertex masks are allocated
+        with pytest.raises(SizeCapError, match="exceeds the cap of 4194304"):
+            parse_hypergraph("1000000000000 1\n0\n")

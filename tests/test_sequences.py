@@ -201,3 +201,8 @@ class TestParse:
     def test_two_data_lines_rejected(self):
         with pytest.raises(InputError):
             parse_sequence("1\n2\n")
+
+    def test_comment_must_start_the_line(self):
+        assert parse_sequence("  # indented comment\n1 2\n") == [1, 2]
+        with pytest.raises(InputError):
+            parse_sequence("1 2 # note\n")

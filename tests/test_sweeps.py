@@ -1,0 +1,113 @@
+"""The sweep runner, the chain report's check names and the family table.
+
+The full-size sweeps are the acceptance suite's; these stay small.
+"""
+from __future__ import annotations
+
+import dataclasses
+import inspect
+from types import SimpleNamespace
+
+import pytest
+
+from grundy import ChainProfile, InputError, SizeCapError
+from grundy import sweeps
+from grundy.sweeps import FAMILIES, ChainSweepReport, SweepOutcome, chain_sweep
+
+PROFILES = [ChainProfile((1,), (1,)), ChainProfile((1, 2), (2, 1))]
+
+
+class TestChainReport:
+    def test_views_split_failures_by_check(self):
+        report = ChainSweepReport(
+            3, ["gamma: A chain=2 exact=3", "alpha: B", "gamma: C chain=1 exact=2"]
+        )
+        assert report.gamma_mismatches == ["A chain=2 exact=3", "C chain=1 exact=2"]
+        assert report.alpha_mismatches == ["B"]
+        assert report.witness_failures == report.sandwich_failures == report.structure_failures == []
+        assert not report.ok
+
+    def test_replace_sets_a_view(self):
+        report = dataclasses.replace(ChainSweepReport(4), gamma_mismatches=["X(1,)/Y(1,)"])
+        assert report.checked == 4
+        assert report.failures == ["gamma: X(1,)/Y(1,)"]
+        assert report.gamma_mismatches == ["X(1,)/Y(1,)"]
+        assert not report.ok
+        assert dataclasses.replace(report, checked=5).failures == report.failures
+
+    def test_unknown_view_is_rejected(self):
+        with pytest.raises(TypeError):
+            ChainSweepReport(1, bogus=["x"])
+
+    def test_clean_sweep(self):
+        report = chain_sweep(PROFILES)
+        assert isinstance(report, ChainSweepReport)
+        assert (report.checked, report.failures) == (2, [])
+
+    def test_failure_lines_name_the_check(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=0))
+        monkeypatch.setattr(sweeps, "independence_number_exact", lambda g: -1)
+        report = chain_sweep(PROFILES)
+        assert report.checked == 2
+        assert report.failures == [
+            "gamma: X(1,)/Y(1,) chain=1 exact=0",
+            "alpha: X(1,)/Y(1,)",
+            "gamma: X(1, 2)/Y(2, 1) chain=3 exact=0",
+            "alpha: X(1, 2)/Y(2, 1)",
+        ]
+        assert report.alpha_mismatches == ["X(1,)/Y(1,)", "X(1, 2)/Y(2, 1)"]
+
+
+def test_run_adds_up_worker_results():
+    outcome = sweeps._run(lambda task: (task, [f"f{task}"] * (task % 2)), [1, 2, 3], jobs=None)
+    assert outcome == SweepOutcome(6, ["f1", "f3"])
+
+
+def test_parallel_run_matches_serial():
+    values = {"n_max": 3, "random": 5}
+    assert FAMILIES["cobipartite"].run(2, **values) == FAMILIES["cobipartite"].run(None, **values)
+
+
+class TestFamilies:
+    def test_params_are_the_sweep_keywords(self):
+        for family in FAMILIES.values():
+            keywords = list(inspect.signature(family.sweep).parameters)
+            assert keywords == ["jobs"] + [p.name for p in family.params]
+
+    def test_defaults_are_within_limits(self):
+        for family in FAMILIES.values():
+            for p in family.params:
+                assert p.minimum is None or p.default >= p.minimum
+                assert p.cap is None or p.default <= p.cap
+
+    def test_values_are_checked_before_the_sweep(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        family = FAMILIES["duality"]._replace(sweep=no_sweep)
+        with pytest.raises(SizeCapError, match=r"7 \(duality sweep n_max\) exceeds the cap of 6"):
+            family.run(n_max=7)
+        with pytest.raises(InputError, match="random must be at least 0"):
+            family.run(random=-4)
+        with pytest.raises(InputError, match="m_max must be at least 1"):
+            family.run(m_max=0)
+
+    def test_unknown_value_is_rejected(self):
+        with pytest.raises(TypeError):
+            FAMILIES["bipartite"].run(n_max=3)
+
+    def test_given_values_override_defaults(self):
+        outcome = FAMILIES["bipartite"].run(random=0)
+        assert (outcome.checked, outcome.failures) == (522, [])
+
+
+def test_duality_engine_recheck_reports(monkeypatch):
+    monkeypatch.setattr(sweeps, "rho_tau_values", lambda h: (0, 0))
+    outcome = sweeps.duality_exhaustive_sweep(2, 2)
+    # (n, m) = (1, 1), (2, 1), (2, 2) hold 1, 1 and 3 instances: one block each
+    assert outcome.checked == 5
+    assert outcome.failures == [
+        "engine (rho, tau)=(0, 0) on n=1 masks=(1,), brute 1",
+        "engine (rho, tau)=(0, 0) on n=2 masks=(3,), brute 1",
+        "engine (rho, tau)=(0, 0) on n=2 masks=(1, 2), brute 2",
+    ]
