@@ -198,16 +198,20 @@ class TestGen:
         g = load_graph(str(out_path))
         assert g.n == 6
 
-    @pytest.mark.parametrize(
-        "spec", ["nonsense", "1,2x1", "0x1", "1x", "x", "1x1x1", "*,1x1,1", "1x*"]
-    )
-    def test_bad_profile_spec(self, tmp_path, capsys, spec):
+    def assert_bad_profile(self, tmp_path, capsys, spec):
         code, _, err = run(
             capsys, "gen", "chain", "--profile", spec, "--out", str(tmp_path / "x")
         )
         assert code == 2
         assert err.startswith("error: ")
         assert not (tmp_path / "x").exists()
+
+    def test_bad_profile_spec(self, tmp_path, capsys):
+        self.assert_bad_profile(tmp_path, capsys, "nonsense")
+
+    @pytest.mark.parametrize("spec", ["1,2x1", "0x1", "1x", "x", "1x1x1", "*,1x1,1", "1x*"])
+    def test_malformed_profile_specs(self, tmp_path, capsys, spec):
+        self.assert_bad_profile(tmp_path, capsys, spec)
 
     def test_graph_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.graph", tmp_path / "b.graph"
@@ -305,25 +309,26 @@ class TestHeaderCap:
 
 
 class TestSweep:
-    # Full stdout of each run, as the CLI printed it before the sweep
-    # families moved into one table.
-    @pytest.mark.parametrize(
-        "argv, checked",
-        [
-            (
-                ["chain", "--max-k", "2", "--max-part", "2", "--max-vertices", "8",
-                 "--random", "5", "--random-vertices", "8"],
-                25,
-            ),
-            (["duality", "--n-max", "3", "--m-max", "3", "--random", "10"], 61),
-            (["cobipartite", "--n-max", "3", "--random", "5"], 16),
-            (["bipartite", "--random", "4", "--jobs", "2"], 526),
-        ],
-    )
-    def test_golden_output(self, capsys, argv, checked):
+    # Each tiny sweep pins the full stdout, as the CLI printed it before the
+    # sweep families moved into one table.
+    def assert_golden(self, capsys, argv, checked):
         code, out, _ = run(capsys, "sweep", *argv)
         assert code == 0
         assert out == f"sweep={argv[0]}\nchecked={checked}\nfailures=0\n"
+
+    def test_tiny_chain_sweep(self, capsys):
+        argv = ["chain", "--max-k", "2", "--max-part", "2", "--max-vertices", "8",
+                "--random", "5", "--random-vertices", "8"]
+        self.assert_golden(capsys, argv, 25)
+
+    def test_tiny_duality_sweep(self, capsys):
+        self.assert_golden(capsys, ["duality", "--n-max", "3", "--m-max", "3", "--random", "10"], 61)
+
+    def test_tiny_cobipartite_sweep(self, capsys):
+        self.assert_golden(capsys, ["cobipartite", "--n-max", "3", "--random", "5"], 16)
+
+    def test_tiny_bipartite_sweep_with_jobs(self, capsys):
+        self.assert_golden(capsys, ["bipartite", "--random", "4", "--jobs", "2"], 526)
 
     @pytest.mark.parametrize(
         "argv, message",
