@@ -4,8 +4,23 @@ The CLI maps these onto exit codes; library callers catch them directly.
 """
 
 
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
+
 class GrundyError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Pickling keeps the message and the attributes without calling the
+    subclass's __init__ again, so every subclass crosses a process
+    boundary (a sweep worker) intact.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class InputError(GrundyError, ValueError):

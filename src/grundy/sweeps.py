@@ -11,10 +11,14 @@ reads, their defaults (the acceptance suite's values), their limits, and
 the function that builds the family's tasks and runs them. The CLI and the
 acceptance suite both read it. It builds no instances until a family runs.
 
-The exhaustive duality family enumerates distinct-edge hypergraphs only:
-a duplicated edge can never contribute a new vertex and never supplies a
+The exhaustive duality family covers distinct-edge hypergraphs only: a
+duplicated edge can never contribute a new vertex and never supplies a
 new witness, so duplicate-edge instances have the same covering and
-transversal numbers as their deduplicated form.
+transversal numbers as their deduplicated form. Both numbers are also
+unchanged by relabelling the vertices, so the sweep checks one hypergraph
+per isomorphism class (edge_set_orbits) and counts it as many times as
+the class has labelled members; `checked` is still the number of labelled
+hypergraphs covered.
 """
 from __future__ import annotations
 
@@ -62,6 +66,7 @@ __all__ = [
     "exhaustive_profiles",
     "chain_sweep",
     "duality_exhaustive_sweep",
+    "edge_set_orbits",
     "duality_random_sweep",
     "exhaustive_hypergraphs",
     "random_reduction_hypergraphs",
@@ -71,9 +76,9 @@ __all__ = [
 
 # The chain sweep brute-forces independence numbers up to this many vertices.
 ALPHA_CAP = 14
-# Exhaustive duality instances go to the workers in blocks of this many, and
-# the first of every block is recomputed by the memoized engine.
-DUALITY_BLOCK = 4096
+# Exhaustive duality instances go to the workers in blocks of this many
+# isomorphism classes, one representative each.
+DUALITY_BLOCK = 256
 
 
 @dataclass
@@ -219,11 +224,108 @@ def _brute_max_len(masks: tuple[int, ...], full: int) -> int:
     return best
 
 
+def edge_set_orbits(n: int, m_max: int):
+    """Yield (masks, orbit_size) once per isomorphism class of the sets of
+    1..m_max distinct non-empty edges that cover all n vertices.
+
+    masks is the sorted tuple of edge bit masks that is lexicographically
+    smallest among the class's relabellings, and orbit_size = n!/|Aut| is
+    the number of labelled edge sets in the class.
+
+    Orderly generation (Read; McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998): a set grows only by masks larger
+    than its last, and is kept only if no vertex permutation maps it to a
+    smaller sorted tuple. Dropping the last mask of a minimal tuple leaves
+    a minimal tuple, so a rejected set has no kept descendant.
+
+    The test is incremental. For a kept set T and a permutation p, either
+    p fixes T (an automorphism), or sorted(p(T)) first exceeds T at some
+    position i, and T[i] is the threshold of p. Adding d > max(T):
+
+    - an automorphism p rejects d when p(d) < d, stays one when
+      p(d) == d, and otherwise takes the threshold d;
+    - a permutation with threshold t rejects d when p(d) < t and keeps t
+      when p(d) > t; only p(d) == t needs the full comparison.
+
+    So a threshold t of p rejects the precomputed bit set below[p][t], and
+    a child inherits its parent's thresholds with the masks they reject;
+    only its new thresholds and its automorphisms add to that. (A tie
+    that turns p into an automorphism leaves below[p][t] held; each mask
+    above t that it rejects has p(d) < t < d, so the automorphism rule
+    rejects it as well.) Pending ties are kept by the mask d that would
+    meet them. The tables are built per call: n! rows of 2^n entries each.
+    """
+    if m_max < 1:
+        return
+    size = 1 << n
+    full = size - 1
+    perms = list(itertools.permutations(range(n)))
+    images = []  # images[p][mask]: the mask relabelled by p
+    preimages = []  # preimages[p][x]: the mask that p relabels to x
+    below = []  # below[p][t]: bit c set when images[p][c] < t
+    drops = []  # drops[p]: bit c set when images[p][c] < c
+    for perm in perms:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        preimage = [0] * size
+        for mask, x in enumerate(image):
+            preimage[x] = mask
+        prefixes, bits = [], 0
+        for x in range(size):
+            prefixes.append(bits)
+            bits |= 1 << preimage[x]
+        images.append(image)
+        preimages.append(preimage)
+        below.append(prefixes)
+        drops.append(sum(1 << mask for mask in range(size) if image[mask] < mask))
+
+    def grow(masks, union, automorphisms, held, ties):
+        # held: the masks rejected by thresholds; ties: d -> its (p, t) pairs
+        rejected = held
+        for p in automorphisms:
+            rejected |= drops[p]
+        last_level = len(masks) + 1 == m_max
+        for d in range(masks[-1] + 1 if masks else 1, size):
+            if rejected >> d & 1 or (last_level and union | d != full):
+                continue
+            child = masks + (d,)
+            child_automorphisms = [p for p in automorphisms if images[p][d] == d]
+            fresh = [(p, d) for p in automorphisms if images[p][d] > d]
+            for p, t in ties.get(d, ()):
+                image = tuple(sorted(map(images[p].__getitem__, child)))
+                if image < child:
+                    break
+                if image == child:
+                    child_automorphisms.append(p)
+                else:
+                    first = next(i for i, (a, b) in enumerate(zip(image, child)) if a != b)
+                    fresh.append((p, child[first]))
+            else:
+                if union | d == full:
+                    yield child, len(perms) // len(child_automorphisms)
+                if not last_level:
+                    child_held = held
+                    child_ties = {x: pairs for x, pairs in ties.items() if x > d}
+                    for p, t in fresh:
+                        child_held |= below[p][t]
+                        x = preimages[p][t]
+                        child_ties[x] = child_ties.get(x, ()) + ((p, t),)
+                    yield from grow(child, union | d, child_automorphisms, child_held, child_ties)
+
+    yield from grow((), 0, list(range(len(perms))), 0, {})
+
+
 def _dual_case(task):
-    """Check tau == rho for a block of edge-mask tuples on n vertices."""
-    n, instances = task
+    """Check tau == rho on a block of orbit representatives on n vertices,
+    by plain search and again by the memoized engine. Each representative
+    counts for the labelled hypergraphs of its orbit."""
+    n, block = task
+    checked = 0
     failures = []
-    for idx, edge_masks in enumerate(instances):
+    for edge_masks, orbit_size in block:
+        checked += orbit_size
         rho = _brute_max_len(edge_masks, (1 << n) - 1)
         m = len(edge_masks)
         vertex_masks = tuple(
@@ -233,11 +335,11 @@ def _dual_case(task):
         tau = _brute_max_len(vertex_masks, (1 << m) - 1)
         if rho != tau:
             failures.append(f"n={n} masks={edge_masks} rho={rho} tau={tau}")
-        elif idx == 0:
-            engine = rho_tau_values(Hypergraph(n, [_mask_to_edge(em) for em in edge_masks]))
-            if engine != (rho, tau):
-                failures.append(f"engine (rho, tau)={engine} on n={n} masks={edge_masks}, brute {rho}")
-    return len(instances), failures
+            continue
+        engine = rho_tau_values(Hypergraph(n, [_mask_to_edge(em) for em in edge_masks]))
+        if engine != (rho, tau):
+            failures.append(f"engine (rho, tau)={engine} on n={n} masks={edge_masks}, brute {rho}")
+    return checked, failures
 
 
 def _mask_to_edge(mask: int) -> list[int]:
@@ -246,27 +348,15 @@ def _mask_to_edge(mask: int) -> list[int]:
 
 def duality_exhaustive_sweep(n_max: int, m_max: int, jobs: int | None = None) -> SweepOutcome:
     """tau == rho over every distinct-edge hypergraph with no isolated
-    vertex, n <= n_max and at most m_max edges. Every DUALITY_BLOCK-th
-    instance of each (n, m) is recomputed with the memoized engine as a
-    cross-check."""
+    vertex, n <= n_max and at most m_max edges, checked on one
+    representative per isomorphism class by plain search and by the
+    memoized engine. `checked` counts labelled hypergraphs."""
 
     def tasks():
         for n in range(1, n_max + 1):
-            full = (1 << n) - 1
-            universe = list(range(1, 1 << n))
-            for m in range(1, m_max + 1):
-                buf = []
-                for combo in itertools.combinations(universe, m):
-                    union = 0
-                    for em in combo:
-                        union |= em
-                    if union == full:
-                        buf.append(combo)
-                        if len(buf) == DUALITY_BLOCK:
-                            yield (n, buf)
-                            buf = []
-                if buf:
-                    yield (n, buf)
+            orbits = edge_set_orbits(n, m_max)
+            while block := list(itertools.islice(orbits, DUALITY_BLOCK)):
+                yield n, block
 
     return _run(_dual_case, tasks(), jobs)
 

@@ -144,6 +144,26 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def labelled_edge_sets(n: int, m: int):
+    """Every set of m distinct non-empty edge masks on n vertices whose
+    union is all n vertices, as a sorted tuple: the labelled instances that
+    the exhaustive duality sweep counts."""
+    full = (1 << n) - 1
+    for combo in itertools.combinations(range(1, 1 << n), m):
+        union = 0
+        for mask in combo:
+            union |= mask
+        if union == full:
+            yield combo
+
+
+def relabel_masks(masks, perm) -> tuple[int, ...]:
+    """The sorted tuple of edge masks after vertex v is renamed perm[v]."""
+    return tuple(sorted(
+        sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1) for mask in masks
+    ))
+
+
 def first_longest_sequence(moves, ground) -> tuple[int, tuple[int, ...]]:
     """Longest sequence of moves in which each move covers something new,
     by depth-first branch and bound over sets, with no memo table.

@@ -91,7 +91,7 @@ def test_criterion_6_hypergraph_duality():
     assert outcome.failures == []
     print(
         f"\nCRITERION 6 (covering/transversal duality): PASS on {outcome.checked} "
-        "instances (6687290 exhaustive + 500 random)"
+        "instances (6687290 exhaustive, checked on 18838 isomorphism classes, + 500 random)"
     )
 
 

@@ -51,17 +51,34 @@ class TestSolve:
         assert report["method"] == "exact"
         assert report["gamma_gr"] == "1"
 
-    def test_auto_uses_cochain_on_cobipartite(self, tmp_path, capsys):
-        # complement of K_{2,3} has a triangle, so the chain route rejects it
-        from grundy import complement
+    def test_auto_uses_cochain_on_cobipartite(self, tmp_path, capsys, monkeypatch):
+        # complement of K_{2,3} has a triangle, so the chain route rejects it;
+        # its 4 edges are exactly the fewest a co-chain graph on 5 vertices has
+        from grundy import chain, complement
         from .conftest import complete_bipartite
 
+        calls = []
+        monkeypatch.setattr(chain, "complement", lambda g: calls.append(g.n) or complement(g))
         path = write_graph(tmp_path, complement(complete_bipartite(2, 3)))
         code, out, _ = run(capsys, "solve", path, "--machine")
         assert code == 0
         report = machine_dict(out)
         assert report["method"] == "cochain"
         assert report["gamma_gr"] == "2"
+        assert calls == [5]
+
+    def test_auto_skips_the_complement_of_a_sparse_graph(self, tmp_path, capsys, monkeypatch):
+        from grundy import chain, random_graph
+
+        def no_complement(g):
+            raise AssertionError("complement built")
+
+        path = write_graph(tmp_path, random_graph(2048, 3 / 2048, 5))
+        monkeypatch.setattr(chain, "complement", no_complement)
+        code, out, err = run(capsys, "solve", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 2048 vertices (not a chain or co-chain graph")
 
     def test_size_cap_exit_code(self, tmp_path, capsys):
         big = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
@@ -226,6 +243,53 @@ class TestGen:
         )
         assert code == 0
         assert out_path.read_text().splitlines()[0] == "4 5"
+
+
+@pytest.mark.usefixtures("memory_limit")
+class TestGenCap:
+    """Oversized gen requests exit 3 before the generator runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_generators(self, monkeypatch):
+        def no_generator(*args):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setattr(cli, "chain_from_profile", no_generator)
+        monkeypatch.setattr(cli, "random_graph", no_generator)
+
+    @pytest.mark.parametrize(
+        "spec, total", [("1000000000x1", 1000000001), ("4194304,1x1,1", 4194307)]
+    )
+    def test_chain(self, tmp_path, capsys, spec, total):
+        out_path = tmp_path / "c.graph"
+        code, out, err = run(capsys, "gen", "chain", "--profile", spec, "--out", str(out_path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {total} vertices (gen chain) exceeds the cap of 4194304\n"
+        assert not out_path.exists()
+
+    def test_graph(self, tmp_path, capsys):
+        out_path = tmp_path / "g.graph"
+        n = cli.MAX_RANDOM_GRAPH_VERTICES + 1
+        code, out, err = run(
+            capsys, "gen", "graph", "--n", str(n), "--p", "0.5", "--seed", "1", "--out", str(out_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {n} vertices (gen graph) exceeds the cap of {n - 1}\n"
+        assert not out_path.exists()
+
+
+def test_gen_at_the_caps_runs_the_generator(capsys, monkeypatch):
+    made = []
+    tiny = Graph.from_edges(1, [])
+    monkeypatch.setattr(cli, "chain_from_profile", lambda p: made.append(p.total_vertices) or tiny)
+    monkeypatch.setattr(cli, "random_graph", lambda n, p, seed: made.append(n) or tiny)
+    monkeypatch.setattr(cli, "save_graph", lambda g, path: None)
+    assert run(capsys, "gen", "chain", "--profile", "4194301,1x1,1", "--out", "-")[0] == 0
+    n = str(cli.MAX_RANDOM_GRAPH_VERTICES)
+    assert run(capsys, "gen", "graph", "--n", n, "--p", "0.5", "--seed", "1", "--out", "-")[0] == 0
+    assert made == [1 << 22, cli.MAX_RANDOM_GRAPH_VERTICES]
 
 
 class TestBench:

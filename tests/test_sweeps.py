@@ -6,13 +6,18 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
+import math
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from grundy import ChainProfile, InputError, SizeCapError
 from grundy import sweeps
-from grundy.sweeps import FAMILIES, ChainSweepReport, SweepOutcome, chain_sweep
+from grundy.sweeps import FAMILIES, ChainSweepReport, SweepOutcome, chain_sweep, edge_set_orbits
+
+from .conftest import labelled_edge_sets, relabel_masks
 
 PROFILES = [ChainProfile((1,), (1,)), ChainProfile((1, 2), (2, 1))]
 
@@ -63,6 +68,13 @@ def test_run_adds_up_worker_results():
     assert outcome == SweepOutcome(6, ["f1", "f3"])
 
 
+def test_worker_error_reaches_the_caller():
+    # 22 vertices is over the exact search's cap, inside a worker process
+    with pytest.raises(SizeCapError, match="22 vertices exceeds the cap of 20") as info:
+        chain_sweep([ChainProfile((11,), (11,))], jobs=2)
+    assert (info.value.actual, info.value.limit) == (22, 20)
+
+
 def test_parallel_run_matches_serial():
     values = {"n_max": 3, "random": 5}
     assert FAMILIES["cobipartite"].run(2, **values) == FAMILIES["cobipartite"].run(None, **values)
@@ -104,10 +116,56 @@ class TestFamilies:
 def test_duality_engine_recheck_reports(monkeypatch):
     monkeypatch.setattr(sweeps, "rho_tau_values", lambda h: (0, 0))
     outcome = sweeps.duality_exhaustive_sweep(2, 2)
-    # (n, m) = (1, 1), (2, 1), (2, 2) hold 1, 1 and 3 instances: one block each
+    # four isomorphism classes, one engine line each; {1, 3} stands for
+    # the two labelled sets {1, 3} and {2, 3}
     assert outcome.checked == 5
     assert outcome.failures == [
         "engine (rho, tau)=(0, 0) on n=1 masks=(1,), brute 1",
-        "engine (rho, tau)=(0, 0) on n=2 masks=(3,), brute 1",
         "engine (rho, tau)=(0, 0) on n=2 masks=(1, 2), brute 2",
+        "engine (rho, tau)=(0, 0) on n=2 masks=(1, 3), brute 2",
+        "engine (rho, tau)=(0, 0) on n=2 masks=(3,), brute 1",
     ]
+
+
+def test_duality_brute_mismatch_reports(monkeypatch):
+    monkeypatch.setattr(sweeps, "_brute_max_len", lambda masks, full: full)
+    outcome = sweeps.duality_exhaustive_sweep(2, 1)
+    assert outcome.checked == 2
+    assert outcome.failures == ["n=2 masks=(3,) rho=3 tau=1"]
+
+
+class TestEdgeSetOrbits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_labelled_set_has_one_representative(self, n):
+        m_max = 5
+        yielded = list(edge_set_orbits(n, m_max))
+        orbits = dict(yielded)
+        assert len(orbits) == len(yielded)
+        perms = list(itertools.permutations(range(n)))
+        hits = Counter()
+        for m in range(1, m_max + 1):
+            for masks in labelled_edge_sets(n, m):
+                images = {relabel_masks(masks, perm) for perm in perms}
+                found = [image for image in images if image in orbits]
+                assert found == [min(images)]
+                hits[found[0]] += 1
+        assert hits == orbits
+        for masks, size in orbits.items():
+            automorphisms = sum(relabel_masks(masks, perm) == masks for perm in perms)
+            assert size == len(perms) // automorphisms
+
+    def test_orbit_sums_match_inclusion_exclusion(self):
+        for n in range(1, 6):
+            assert list(edge_set_orbits(n, 0)) == []
+            sums = Counter()
+            for masks, size in edge_set_orbits(n, 5):
+                sums[len(masks)] += size
+            for m in range(1, 6):
+                onto = sum(
+                    (-1) ** (n - k) * math.comb(n, k) * math.comb(2**k - 1, m) for k in range(n + 1)
+                )
+                assert sums[m] == onto, (n, m)
+
+    def test_class_counts_at_six_vertices(self):
+        counts = Counter(len(masks) for masks, _ in edge_set_orbits(6, 3))
+        assert counts == {1: 1, 2: 14, 3: 154}
