@@ -192,6 +192,9 @@ def cmd_reduce(args) -> int:
 
 # random_graph draws once per vertex pair: about 8.4 million draws here
 MAX_RANDOM_GRAPH_VERTICES = 1 << 12
+# random_hypergraph draws once per (vertex, edge) pair: at most about
+# 4.2 million draws with both --n and --m at this cap
+MAX_RANDOM_HYPERGRAPH_SIZE = 1 << 11
 
 
 def cmd_gen(args) -> int:
@@ -213,6 +216,9 @@ def cmd_gen(args) -> int:
         save_graph(g, args.out)
         summary = [("kind", "graph"), ("n", g.n), ("m", g.edge_count)]
     else:
+        for count, what in ((args.n, "vertices"), (args.m, "edges")):
+            if count > MAX_RANDOM_HYPERGRAPH_SIZE:
+                raise SizeCapError(count, MAX_RANDOM_HYPERGRAPH_SIZE, what=f"{what} (gen hypergraph)")
         h = random_hypergraph(args.n, args.m, args.seed)
         save_hypergraph(h, args.out)
         summary = [("kind", "hypergraph"), ("n", h.n), ("m", h.m)]

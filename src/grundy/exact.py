@@ -40,14 +40,41 @@ candidate order and asks value() only, so the witness is the one an
 unsplit search finds. nodes_explored counts expansions of connected
 sets, and so does node_budget.
 
-Uncovered sets are optionally canonicalized by twin classes: vertices
-with equal open or closed neighborhoods are interchangeable under an
-automorphism, so within each class the uncovered members are moved to
-the highest indices (the orbit representative in which the covered ones
-are the lowest-index members). This collapses the state space on
-twin-heavy inputs (complete bipartite blocks, gadget constructions) and
-never changes values or the reconstructed witness; tests cross-check it
-against the plain keying and against a memo-free branch and bound.
+Why twin classes cut the moves tried: vertices with equal open or
+closed neighborhoods (twins) are interchangeable under an automorphism,
+so an uncovered set is worth the same as its canonical form, in which
+the uncovered members of each twin class are its highest indices. For
+any vertex v, N[v] is a union of whole twin classes, plus v itself when
+v is an open twin: a twin of a neighbor of v is a neighbor of v or v
+itself, and open twins are never adjacent. So from a canonical set these
+moves give canonical children as they are:
+
+* a move from a vertex in no class;
+* a move from a covered member of a class (it removes whole classes);
+* a move from the lowest uncovered member of a class (the uncovered
+  members left in its class are still its highest ones).
+
+Any other member's move has the same gain, and its child the same
+canonical form, as the move of the lowest member with its coverage, so
+it sorts later in the (-gain, index) candidate order of a search that
+canonicalizes every child, which drops it as a repeat. The graph search
+therefore offers, per class, only the lowest uncovered and the lowest
+covered member, and canonicalizes no child. Its early-exit ceiling
+min(uncovered bits, live moves) needs no count of the moves it skips:
+every uncovered vertex's own move is live, so the ceiling is the number
+of uncovered bits. A component of a canonical set is canonical too, as
+the members of a class lie in one move's mask (their own if closed
+twins, a common neighbor's if open), except for a single isolated vertex
+split off from its class of isolated twins; that set's only move is its
+own, which is offered. So the search visits the same states in the same
+order as one that tries every move and canonicalizes each child, and
+returns the same value, witness and nodes_explored. Only the witness
+reconstruction canonicalizes, since it walks the real state.
+
+For cover and transversal, the interchangeable elements (vertices in the
+same edges, duplicate edges) are bits, not moves, and every move's mask
+holds whole classes of them: every state is canonical already, so those
+searches take no classes.
 """
 from __future__ import annotations
 
@@ -124,13 +151,6 @@ def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
     return _merge_signature_groups([open_groups, closed_groups])
 
 
-def _mask_equal_classes(masks: Sequence[int], count: int) -> list[tuple[int, ...]]:
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(masks[i], []).append(i)
-    return [tuple(g) for g in groups.values() if len(g) > 1]
-
-
 # ---- core search -----------------------------------------------------------
 
 
@@ -173,7 +193,7 @@ def _reach_table(masks: Sequence[int], full: int) -> list[int]:
 def _longest_sequence(
     masks: Sequence[int],
     full: int,
-    classes: list[tuple[int, ...]] | None = None,
+    twin_classes: list[tuple[int, ...]] | None = None,
     node_budget: int | None = None,
     want_witness: bool = True,
 ):
@@ -186,11 +206,20 @@ def _longest_sequence(
     move's residual contribution, ties by move index; the witness is
     reconstructed with the same order on the whole state, so outputs are
     deterministic.
+
+    twin_classes are the graph's twin classes, for masks that are closed
+    neighborhoods (move i holds bit i; see the module docstring): each
+    class offers only its lowest uncovered and lowest covered member as
+    candidates.
     """
-    canon = _make_canon(classes) if classes else None
     reach = _reach_table(masks, full)
     memo: dict[int, int] = {0: 0}
     nodes = 0
+    groups: list[int] = []
+    if twin_classes:
+        in_class = {i for members in twin_classes for i in members}
+        singles = [(i, mask) for i, mask in enumerate(masks) if i not in in_class]
+        groups = [sum(1 << i for i in members) for members in twin_classes]
 
     def value(free: int) -> int:
         nonlocal nodes
@@ -214,22 +243,40 @@ def _longest_sequence(
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(nodes, node_budget)
         candidates = []
-        for i, mask in enumerate(masks):
+        for i, mask in (singles if groups else enumerate(masks)):
             residual = mask & free
             if residual:
                 candidates.append((-residual.bit_count(), i, free ^ residual))
-        ceiling = min(free.bit_count(), len(candidates))
+        ceiling = free.bit_count()
+        if groups:
+            # every uncovered vertex's own move is live, so the ceiling
+            # min(uncovered bits, live moves) is the bit count
+            for class_mask in groups:
+                inside = free & class_mask
+                if inside:
+                    i = (inside & -inside).bit_length() - 1
+                    residual = masks[i] & free
+                    candidates.append((-residual.bit_count(), i, free ^ residual))
+                covered = class_mask ^ inside
+                if covered:
+                    i = (covered & -covered).bit_length() - 1
+                    residual = masks[i] & free
+                    if residual:
+                        candidates.append((-residual.bit_count(), i, free ^ residual))
+        elif len(candidates) < ceiling:
+            ceiling = len(candidates)
         candidates.sort()
         best = 0
         seen: set[int] = set()
         for _, _, child in candidates:
-            key = canon(child) if canon else child
-            if key in seen:
+            if child in seen:
                 continue
-            seen.add(key)
-            v = 1 + value(key)
-            if v > best:
-                best = v
+            seen.add(child)
+            v = memo.get(child)
+            if v is None:
+                v = value(child)
+            if v >= best:
+                best = v + 1
                 if best == ceiling:
                     break
         memo[free] = best
@@ -238,6 +285,7 @@ def _longest_sequence(
     total = value(full)
     moves: list[int] = []
     if want_witness:
+        canon = _make_canon(twin_classes) if twin_classes else None
         free = full
         need = total
         while need:
@@ -299,7 +347,6 @@ def grundy_cover_exact(
     h: Hypergraph,
     node_budget: int | None = None,
     hard_cap: int = HARD_CAP,
-    orbit_reduction: bool = True,
 ) -> SearchResult:
     """Maximum length of an edge covering sequence, by exhaustive search."""
     if h.m > hard_cap:
@@ -308,8 +355,7 @@ def grundy_cover_exact(
     if isolated:
         raise IsolatedVertexError(isolated[0], "every vertex must lie in some edge")
     full = (1 << h.n) - 1
-    classes = _mask_equal_classes(h.vertex_masks, h.n) if orbit_reduction else None
-    length, moves, nodes = _longest_sequence(h.edge_masks, full, classes, node_budget)
+    length, moves, nodes = _longest_sequence(h.edge_masks, full, node_budget=node_budget)
     order = tuple(moves)
     if not is_legal_edge_sequence(h, order) or not is_edge_cover(h, order):
         raise VerificationError("edge sequence witness failed re-verification")
@@ -322,14 +368,12 @@ def grundy_transversal_exact(
     h: Hypergraph,
     node_budget: int | None = None,
     hard_cap: int = HARD_CAP,
-    orbit_reduction: bool = True,
 ) -> SearchResult:
     """Maximum length of a legal transversal sequence, by exhaustive search."""
     if h.m > hard_cap:
         raise SizeCapError(h.m, hard_cap, what="edges")
     full = (1 << h.m) - 1
-    classes = _mask_equal_classes(h.edge_masks, h.m) if orbit_reduction else None
-    length, moves, nodes = _longest_sequence(h.vertex_masks, full, classes, node_budget)
+    length, moves, nodes = _longest_sequence(h.vertex_masks, full, node_budget=node_budget)
     order = tuple(moves)
     if not is_legal_transversal_sequence(h, order):
         raise VerificationError("transversal witness failed re-verification")

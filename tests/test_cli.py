@@ -4,7 +4,7 @@ import pytest
 
 from grundy import cli, sweeps
 from grundy.cli import main
-from grundy import Graph, format_graph, load_graph
+from grundy import Graph, Hypergraph, format_graph, load_graph
 
 from .conftest import complete_graph, path_graph
 
@@ -256,6 +256,7 @@ class TestGenCap:
 
         monkeypatch.setattr(cli, "chain_from_profile", no_generator)
         monkeypatch.setattr(cli, "random_graph", no_generator)
+        monkeypatch.setattr(cli, "random_hypergraph", no_generator)
 
     @pytest.mark.parametrize(
         "spec, total", [("1000000000x1", 1000000001), ("4194304,1x1,1", 4194307)]
@@ -279,17 +280,36 @@ class TestGenCap:
         assert err == f"error: {n} vertices (gen graph) exceeds the cap of {n - 1}\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "n, m, what",
+        [("100000000", "2", "100000000 vertices"), ("5", "2049", "2049 edges")],
+    )
+    def test_hypergraph(self, tmp_path, capsys, n, m, what):
+        out_path = tmp_path / "h.hg"
+        code, out, err = run(
+            capsys, "gen", "hypergraph", "--n", n, "--m", m, "--seed", "1", "--out", str(out_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {what} (gen hypergraph) exceeds the cap of 2048\n"
+        assert not out_path.exists()
+
 
 def test_gen_at_the_caps_runs_the_generator(capsys, monkeypatch):
     made = []
     tiny = Graph.from_edges(1, [])
+    tiny_h = Hypergraph(2, [(0, 1), (0, 1)])
     monkeypatch.setattr(cli, "chain_from_profile", lambda p: made.append(p.total_vertices) or tiny)
     monkeypatch.setattr(cli, "random_graph", lambda n, p, seed: made.append(n) or tiny)
+    monkeypatch.setattr(cli, "random_hypergraph", lambda n, m, seed: made.append((n, m)) or tiny_h)
     monkeypatch.setattr(cli, "save_graph", lambda g, path: None)
+    monkeypatch.setattr(cli, "save_hypergraph", lambda h, path: None)
     assert run(capsys, "gen", "chain", "--profile", "4194301,1x1,1", "--out", "-")[0] == 0
     n = str(cli.MAX_RANDOM_GRAPH_VERTICES)
     assert run(capsys, "gen", "graph", "--n", n, "--p", "0.5", "--seed", "1", "--out", "-")[0] == 0
-    assert made == [1 << 22, cli.MAX_RANDOM_GRAPH_VERTICES]
+    k = str(cli.MAX_RANDOM_HYPERGRAPH_SIZE)
+    assert run(capsys, "gen", "hypergraph", "--n", k, "--m", k, "--seed", "1", "--out", "-")[0] == 0
+    assert made == [1 << 22, cli.MAX_RANDOM_GRAPH_VERTICES, (2048, 2048)]
 
 
 class TestBench:

@@ -19,7 +19,7 @@ from grundy import (
     is_legal_transversal_sequence,
 )
 from grundy.exact import graph_twin_classes
-from grundy.generators import random_graph, random_hypergraph
+from grundy.generators import ChainProfile, chain_from_profile, random_graph, random_hypergraph
 
 from .conftest import (
     brute_alpha,
@@ -78,6 +78,16 @@ class TestGrundyDomination:
         )
 
 
+def _assert_search_modes_agree(g: Graph) -> None:
+    full = grundy_domination_exact(g)
+    no_orbit = grundy_domination_exact(g, orbit_reduction=False)
+    length, order = first_longest_dominating(g)
+    assert check_subset_ordering(g, full.best_sequence)
+    assert full.best_length == no_orbit.best_length == length
+    assert full.best_sequence.order == no_orbit.best_sequence.order
+    assert full.best_sequence.order == order
+
+
 class TestSearchModes:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -86,14 +96,7 @@ class TestSearchModes:
         st.integers(min_value=0, max_value=10**6),
     )
     def test_memo_orbit_and_plain_agree(self, n, p, seed):
-        g = random_graph(n, p, seed)
-        full = grundy_domination_exact(g)
-        no_orbit = grundy_domination_exact(g, orbit_reduction=False)
-        length, order = first_longest_dominating(g)
-        assert check_subset_ordering(g, full.best_sequence)
-        assert full.best_length == no_orbit.best_length == length
-        assert full.best_sequence.order == no_orbit.best_sequence.order
-        assert full.best_sequence.order == order
+        _assert_search_modes_agree(random_graph(n, p, seed))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -204,12 +207,16 @@ def _blow_up(base: Graph, sizes: list[int], closed: list[bool]) -> Graph:
 
 
 @st.composite
-def twin_rich_graphs(draw):
-    k = draw(st.integers(min_value=1, max_value=5))
-    base = random_graph(k, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
+def twin_rich_graphs(draw, max_classes=5):
+    """A blow-up of a random base graph, its vertices renamed at random."""
+    k = draw(st.integers(min_value=1, max_value=max_classes))
+    p = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    base = random_graph(k, p, draw(st.integers(0, 10**6)))
     sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     closed = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    return _blow_up(base, sizes, closed)
+    g = _blow_up(base, sizes, closed)
+    perm = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 class TestTwinClasses:
@@ -232,6 +239,14 @@ class TestTwinClasses:
             if len(c) > 1
         )
         assert graph_twin_classes(g) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_rich_graphs(max_classes=4))
+    def test_memo_orbit_and_plain_agree(self, g):
+        # shuffled labels make the classes non-contiguous; a base with no
+        # edges gives classes of isolated open twins, which the component
+        # split cuts into single vertices
+        _assert_search_modes_agree(g)
 
 
 class TestComponentSplit:
@@ -328,3 +343,76 @@ class TestComponentSplit:
             transversal.best_length,
             transversal.best_sequence,
         )
+
+
+def _chain(sizes_x, sizes_y, step: int = 1) -> Graph:
+    """The chain graph of a profile, vertex v renamed step * v mod n (a
+    step prime to n spreads each twin class over non-contiguous labels)."""
+    g = chain_from_profile(ChainProfile(sizes_x, sizes_y))
+    return Graph.from_edges(g.n, [(step * u % g.n, step * v % g.n) for u, v in g.edges()])
+
+
+def _cycle_with_isolated() -> Graph:
+    """A 6-cycle on 0, 2, 3, 5, 6, 7; vertices 1, 4 and 8 are isolated."""
+    ring = [0, 2, 3, 5, 6, 7]
+    return Graph.from_edges(9, [(ring[i], ring[(i + 1) % 6]) for i in range(6)])
+
+
+# instances with duplicate edges where the live-move ceiling cuts the search
+COVER_DUPLICATES = Hypergraph(6, [(3,), (0, 4), (1, 4, 5), (3,), (1, 2), (3,)])
+TRANSVERSAL_DUPLICATES = Hypergraph(5, [(0, 1, 2), (0, 1, 2, 3), (1,), (0,), (1, 4), (0,)])
+
+
+class TestPinnedSearch:
+    """Exact search outcomes recorded from the engine that tried every move
+    and canonicalized every child: the value, the witness and the number of
+    states expanded, with and without twin classes."""
+
+    @pytest.mark.parametrize(
+        "make, length, order, nodes, plain_nodes",
+        [
+            pytest.param(lambda: path_graph(16), 15, tuple(range(15)), 107, 107, id="P16"),
+            pytest.param(
+                lambda: _chain((1, 2, 1), (2, 1, 3)), 7, (1, 0, 2, 4, 7, 8, 3), 35, 83,
+                id="chain-121x213",
+            ),
+            pytest.param(
+                lambda: _chain((3, 3), (2, 2)), 6, (3, 0, 1, 2, 4, 5), 19, 55, id="chain-33x22"
+            ),
+            pytest.param(
+                lambda: _chain((2, 1, 2, 1), (1, 3, 1, 2)),
+                9, (7, 8, 9, 2, 0, 1, 3, 11, 5), 92, 199,
+                id="chain-2121x1312",
+            ),
+            pytest.param(
+                lambda: _chain((2, 1, 2), (2, 1, 3), step=5),
+                7, (2, 10, 0, 1, 3, 6, 4), 44, 114,
+                id="chain-212x213-shuffled",
+            ),
+            pytest.param(
+                lambda: _blow_up(cycle_graph(6), [2, 1, 3, 2, 1, 3], [True] * 6),
+                4, (0, 2, 3, 6), 19, 19,
+                id="closed-twin-C6",
+            ),
+            pytest.param(
+                _cycle_with_isolated, 7, (0, 1, 2, 3, 4, 5, 8), 21, 21, id="three-isolated"
+            ),
+        ],
+    )
+    def test_graphs(self, make, length, order, nodes, plain_nodes):
+        g = make()
+        for orbit_reduction, expected_nodes in ((True, nodes), (False, plain_nodes)):
+            res = grundy_domination_exact(g, orbit_reduction=orbit_reduction)
+            assert (res.best_length, res.best_sequence.order, res.nodes_explored) == (
+                length,
+                order,
+                expected_nodes,
+            )
+
+    def test_cover_with_duplicate_edges(self):
+        res = grundy_cover_exact(COVER_DUPLICATES)
+        assert (res.best_length, res.best_sequence, res.nodes_explored) == (4, (2, 0, 1, 4), 4)
+
+    def test_transversal_with_duplicate_edges(self):
+        res = grundy_transversal_exact(TRANSVERSAL_DUPLICATES)
+        assert (res.best_length, res.best_sequence, res.nodes_explored) == (5, (3, 2, 0, 4, 1), 5)
