@@ -12,8 +12,9 @@ import time
 from dataclasses import dataclass
 
 from .chain import grundy_chain, recognize_chain
-from .errors import InputError
+from .errors import InputError, SizeCapError
 from .generators import ChainProfile, chain_from_profile, parse_profile
+from .graph import MAX_FILE_VERTICES
 
 __all__ = ["BenchRow", "bench_profile", "parse_shape", "run_bench", "doubling_ratios"]
 
@@ -21,6 +22,9 @@ DEFAULT_SIZES = tuple(2**e for e in range(15, 21))
 
 # one '*' part absorbs all growth so the edge count stays linear in n
 DEFAULT_SHAPE = "*,1,1,1x1,1,1,1"
+
+# run_bench holds every instance at once: at most this many vertices in all
+MAX_TOTAL_VERTICES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,16 @@ def run_bench(sizes=DEFAULT_SIZES, repeats: int = 5, shape: str = DEFAULT_SHAPE)
     rounds that time every size once, so a drift in CPU speed lands on all
     sizes alike instead of on one size's whole block of repeats; the
     doubling ratios compare times taken close together.
+
+    A size above graph.MAX_FILE_VERTICES, or sizes that add up to more
+    than MAX_TOTAL_VERTICES, raise SizeCapError before anything is built.
     """
+    for n in sizes:
+        if n > MAX_FILE_VERTICES:
+            raise SizeCapError(n, MAX_FILE_VERTICES, what="vertices (bench size)")
+    total = sum(sizes)
+    if total > MAX_TOTAL_VERTICES:
+        raise SizeCapError(total, MAX_TOTAL_VERTICES, what="vertices (bench sizes in all)")
     graphs = [chain_from_profile(bench_profile(n, shape)) for n in sizes]
     times: list[list[float]] = [[] for _ in graphs]
     gammas = [0] * len(graphs)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -330,7 +331,15 @@ def grundy_cochain(g: Graph) -> tuple[int, VertexSequence]:
     so k+1 steps always exist; a class-counting argument shows no legal
     sequence can do better. The value is cross-checked against the exact
     solver in the tests.
+
+    A co-chain graph is two cliques plus edges between them, and two
+    cliques on n vertices hold the fewest edges when they split n evenly;
+    a graph with fewer edges is refused before its quadratic complement
+    is built.
     """
+    half = g.n // 2
+    if g.edge_count < comb(half, 2) + comb(g.n - half, 2):
+        raise NotChainGraphError("too few edges for a co-chain graph")
     comp = complement(g)
     cs = recognize_chain(comp)
     k = cs.k

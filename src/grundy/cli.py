@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import time
-from math import comb
 
 from . import bench as bench_mod
 from . import sweeps
@@ -61,16 +60,11 @@ def _solve_auto(g, budget):
         return "chain", grundy_chain(cs), cs, None
     except (NotChainGraphError, IsolatedVertexError):
         pass
-    # A co-chain graph is two cliques plus edges between them, and two
-    # cliques on n vertices hold the fewest edges when they split n evenly.
-    # Below that count the quadratic complement is not worth building.
-    half = g.n // 2
-    if g.edge_count >= comb(half, 2) + comb(g.n - half, 2):
-        try:
-            gamma, seq = grundy_cochain(g)
-            return "cochain", seq, None, gamma
-        except (NotChainGraphError, IsolatedVertexError):
-            pass
+    try:
+        gamma, seq = grundy_cochain(g)
+        return "cochain", seq, None, gamma
+    except (NotChainGraphError, IsolatedVertexError):
+        pass
     if g.n > HARD_CAP:
         raise SizeCapError(
             g.n,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, IsolatedVertexError
+from .errors import InputError, IsolatedVertexError, SizeCapError
 from .graph import Graph
 from .hypergraph import Hypergraph
 from .sequences import VertexSequence
@@ -21,6 +21,16 @@ __all__ = [
     "project_gadget_witness",
     "format_roles",
 ]
+
+
+# Most edges a gadget may have; one at the cap takes about 270 MB and 2 s
+# to build, and its size is quadratic in the source's
+MAX_GADGET_EDGES = 1 << 20
+
+
+def _check_gadget_size(edges: int, kind: str) -> None:
+    if edges > MAX_GADGET_EDGES:
+        raise SizeCapError(edges, MAX_GADGET_EDGES, what=f"edges ({kind} gadget)")
 
 
 @dataclass(frozen=True)
@@ -46,7 +56,8 @@ def hypergraph_to_bipartite(h: Hypergraph) -> ReductionMap:
     and x in X' joins e_i in E' exactly when the source vertex lies in the
     source edge. Sides of the target bipartition are A+E' and X'+B. The
     gadget's Grundy domination number exceeds n+m by exactly the source's
-    Grundy cover number.
+    Grundy cover number. A gadget of more than MAX_GADGET_EDGES edges
+    raises SizeCapError before it is built.
     """
     n, m = h.n, h.m
     if n < 2 or m < 2:
@@ -54,6 +65,7 @@ def hypergraph_to_bipartite(h: Hypergraph) -> ReductionMap:
     isolated = h.isolated_vertices()
     if isolated:
         raise IsolatedVertexError(isolated[0], "gadget construction")
+    _check_gadget_size(n * n + m * m + sum(map(len, h.edges)), "bipartite")
     a0, x0, e0, b0 = 0, n, 2 * n, 2 * n + m
     edges: list[tuple[int, int]] = []
     for i in range(n):
@@ -79,9 +91,11 @@ def graph_to_cobipartite(g: Graph) -> ReductionMap:
 
     v_i in V1 joins v_j in V2 exactly when v_j lies in the source closed
     neighborhood N[v_i] (so every v_i^1 v_i^2 edge is present). The gadget
-    has the same Grundy domination number as the source.
+    has the same Grundy domination number as the source. A gadget of more
+    than MAX_GADGET_EDGES edges raises SizeCapError before it is built.
     """
     n = g.n
+    _check_gadget_size(n * n + 2 * g.edge_count, "co-bipartite")
     edges: list[tuple[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -18,11 +18,13 @@ transversal numbers as their deduplicated form. Both numbers are also
 unchanged by relabelling the vertices, so the sweep checks one hypergraph
 per isomorphism class (edge_set_orbits) and counts it as many times as
 the class has labelled members; `checked` is still the number of labelled
-hypergraphs covered.
+hypergraphs covered. The chain sweep likewise runs its exact solvers once
+per isomorphism class of profiles (chain_sweep).
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -164,37 +166,66 @@ def _observation_identities_hold(cs) -> bool:
 
 
 def _chain_case(task):
-    sizes_x, sizes_y = task
-    label = f"X{sizes_x}/Y{sizes_y}"
-    g = chain_from_profile(ChainProfile(sizes_x, sizes_y))
-    cs = recognize_chain(g)
-    failures = []
-    recovered = tuple(len(p) for p in cs.x_parts), tuple(len(p) for p in cs.y_parts)
-    if recovered not in ((sizes_x, sizes_y), (sizes_y, sizes_x)) or not _observation_identities_hold(cs):
-        failures.append(f"structure: {label}")
+    """Check one isomorphism class of chain graphs, given as its distinct
+    labelled profiles, each with the number of times it was listed.
 
-    seq = grundy_chain(cs)
-    gamma_chain = len(seq)
-    gamma_exact = grundy_domination_exact(g).best_length
-    if gamma_chain != gamma_exact:
-        failures.append(f"gamma: {label} chain={gamma_chain} exact={gamma_exact}")
-    checked_seq = check_closed_neighborhood_sequence(g, seq.order)
-    if checked_seq.covered() != g.n or not check_subset_ordering(g, checked_seq):
-        failures.append(f"witness: {label}")
+    Isomorphic graphs share their Grundy domination and independence
+    numbers, so the exact solvers run once, on the first profile's graph.
+    Every profile still gets its own graph, recognition, chain solution
+    and checks against those numbers, and its failure lines repeat once
+    per listed copy.
+    """
+    checked, failures, exact = 0, [], None
+    for (sizes_x, sizes_y), count in task:
+        label = f"X{sizes_x}/Y{sizes_y}"
+        g = chain_from_profile(ChainProfile(sizes_x, sizes_y))
+        cs = recognize_chain(g)
+        lines = []
+        recovered = tuple(len(p) for p in cs.x_parts), tuple(len(p) for p in cs.y_parts)
+        if recovered not in ((sizes_x, sizes_y), (sizes_y, sizes_x)) or not _observation_identities_hold(cs):
+            lines.append(f"structure: {label}")
 
-    alpha_chain = independence_number_chain(cs)
-    if gamma_chain - alpha_chain not in (0, 1):
-        failures.append(f"sandwich: {label}")
-    if g.n <= ALPHA_CAP and independence_number_exact(g) != alpha_chain:
-        failures.append(f"alpha: {label}")
-    return 1, failures
+        seq = grundy_chain(cs)
+        gamma_chain = len(seq)
+        if exact is None:
+            exact = (
+                grundy_domination_exact(g).best_length,
+                independence_number_exact(g) if g.n <= ALPHA_CAP else None,
+            )
+        gamma_exact, alpha_exact = exact
+        if gamma_chain != gamma_exact:
+            lines.append(f"gamma: {label} chain={gamma_chain} exact={gamma_exact}")
+        checked_seq = check_closed_neighborhood_sequence(g, seq.order)
+        if checked_seq.covered() != g.n or not check_subset_ordering(g, checked_seq):
+            lines.append(f"witness: {label}")
+
+        alpha_chain = independence_number_chain(cs)
+        if gamma_chain - alpha_chain not in (0, 1):
+            lines.append(f"sandwich: {label}")
+        if alpha_exact is not None and alpha_exact != alpha_chain:
+            lines.append(f"alpha: {label}")
+        checked += count
+        failures += lines * count
+    return checked, failures
 
 
 def chain_sweep(profiles, jobs: int | None = None) -> ChainSweepReport:
     """Compare the chain solver against exhaustive search over a family,
     checking witnesses, twin-partition identities and the independence
-    number on the way."""
-    tasks = [(p.sizes_x, p.sizes_y) for p in profiles]
+    number on the way.
+
+    The profiles (sx, sy) and (sy[::-1], sx[::-1]) give isomorphic chain
+    graphs, the second with its sides swapped, and a connected chain graph
+    has no other profile. So the profiles go to the workers grouped by isomorphism
+    class, in order of first appearance, and the exact solvers run once
+    per class. `checked` still counts every profile listed.
+    """
+    classes: dict[tuple, Counter] = {}
+    for p in profiles:
+        labelled = p.sizes_x, p.sizes_y
+        key = min(labelled, (p.sizes_y[::-1], p.sizes_x[::-1]))
+        classes.setdefault(key, Counter())[labelled] += 1
+    tasks = [tuple(members.items()) for members in classes.values()]
     outcome = _run(_chain_case, tasks, jobs, chunksize=16)
     return ChainSweepReport(outcome.checked, outcome.failures)
 

@@ -323,6 +323,21 @@ class TestCochain:
         with pytest.raises((NotChainGraphError, IsolatedVertexError)):
             grundy_cochain(path_graph(6))
 
+    def test_rejects_a_dense_non_cochain(self):
+        # 9 edges clear the two-clique gate, and the complement C6 is no chain graph
+        with pytest.raises(NotChainGraphError, match="^incomparable neighborhoods"):
+            grundy_cochain(complement(cycle_graph(6)))
+
+    def test_too_few_edges_skip_the_complement(self, monkeypatch):
+        def no_complement(g):
+            raise AssertionError("complement built")
+
+        monkeypatch.setattr(chain_module, "complement", no_complement)
+        # K3 + K3 is the sparsest co-chain graph on 6 vertices; one edge less is refused
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)])
+        with pytest.raises(NotChainGraphError, match="^too few edges for a co-chain graph$"):
+            grundy_cochain(g)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_matches_exact_oracle(self, seed):

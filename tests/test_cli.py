@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from grundy import bench as bench_mod
 from grundy import cli, sweeps
 from grundy.cli import main
 from grundy import Graph, Hypergraph, format_graph, load_graph
@@ -79,6 +80,21 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert err.startswith("error: 2048 vertices (not a chain or co-chain graph")
+
+    @pytest.mark.usefixtures("memory_limit")
+    def test_cochain_refuses_a_sparse_graph(self, tmp_path, capsys, monkeypatch):
+        from grundy import chain
+
+        def no_complement(g):
+            raise AssertionError("complement built")
+
+        monkeypatch.setattr(chain, "complement", no_complement)
+        path = tmp_path / "sparse.graph"
+        path.write_text("200000 1\n0 1\n")
+        code, out, err = run(capsys, "solve", str(path), "--method", "cochain")
+        assert code == 5
+        assert out == ""
+        assert err == "error: too few edges for a co-chain graph\n"
 
     def test_size_cap_exit_code(self, tmp_path, capsys):
         big = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
@@ -342,6 +358,36 @@ class TestBench:
         assert "Traceback" not in err
 
 
+@pytest.mark.usefixtures("memory_limit")
+class TestBenchCap:
+    """Oversized bench sizes exit 3 before any instance is built."""
+
+    @pytest.mark.parametrize(
+        "sizes, what, cap",
+        [
+            ("100000000000", "100000000000 vertices (bench size)", 1 << 22),
+            ("64,4194305", "4194305 vertices (bench size)", 1 << 22),
+            ("4194304,4194304,1", "8388609 vertices (bench sizes in all)", 1 << 23),
+        ],
+    )
+    def test_refused(self, capsys, monkeypatch, sizes, what, cap):
+        def no_generator(*args):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setattr(bench_mod, "chain_from_profile", no_generator)
+        code, out, err = run(capsys, "bench", "--sizes", sizes)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {what} exceeds the cap of {cap}\n"
+
+    def test_at_the_caps_the_generator_runs(self, monkeypatch):
+        made = []
+        tiny = bench_mod.chain_from_profile(bench_mod.bench_profile(8))
+        monkeypatch.setattr(bench_mod, "chain_from_profile", lambda p: made.append(p.total_vertices) or tiny)
+        rows = bench_mod.run_bench([1 << 22, 1 << 22], repeats=1)
+        assert made == [1 << 22, 1 << 22] == [row.n for row in rows]
+
+
 class TestNotUtf8:
     """Undecodable bytes in any input file are a format error (exit 2)."""
 
@@ -372,7 +418,7 @@ class TestNotUtf8:
 
 @pytest.mark.usefixtures("memory_limit")
 class TestHeaderCap:
-    """A header n above the cap exits 3 before anything n-sized is built."""
+    """A header n above a cap exits 3 before anything n-sized is built."""
 
     def test_graph_file(self, tmp_path, capsys):
         path = tmp_path / "g.graph"
@@ -381,6 +427,16 @@ class TestHeaderCap:
         assert code == 3
         assert out == ""
         assert err == "error: 1000000000000 vertices in the file header exceeds the cap of 4194304\n"
+
+    def test_cobipartite_gadget(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        path.write_text("3000 0\n")
+        out_path = tmp_path / "out.graph"
+        code, out, err = run(capsys, "reduce", str(path), "--to", "cobipartite", "--out", str(out_path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: 9000000 edges (co-bipartite gadget) exceeds the cap of 1048576\n"
+        assert not out_path.exists()
 
     def test_hypergraph_file(self, tmp_path, capsys):
         path = tmp_path / "h.hg"

@@ -7,6 +7,7 @@ from grundy import (
     Hypergraph,
     InputError,
     IsolatedVertexError,
+    SizeCapError,
     bipartition,
     complement,
     format_roles,
@@ -16,6 +17,7 @@ from grundy import (
     hypergraph_to_bipartite,
     project_gadget_witness,
 )
+from grundy import reductions
 from grundy.generators import random_graph, random_hypergraph
 
 from .conftest import path_graph, sample_hypergraph
@@ -113,6 +115,30 @@ class TestCobipartiteGadget:
         gamma_src = grundy_domination_exact(g).best_length
         gamma_gadget = grundy_domination_exact(rmap.target).best_length
         assert gamma_src == gamma_gadget
+
+
+class TestGadgetCap:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cap_is_inclusive(self, monkeypatch, seed):
+        h = random_hypergraph(4, 3, seed)
+        g = random_graph(6, 0.4, seed)
+        gadgets = ((hypergraph_to_bipartite, h, "bipartite"), (graph_to_cobipartite, g, "co-bipartite"))
+        for build, source, kind in gadgets:
+            edges = build(source).target.edge_count
+            monkeypatch.setattr(reductions, "MAX_GADGET_EDGES", edges)
+            assert build(source).target.edge_count == edges
+            monkeypatch.setattr(reductions, "MAX_GADGET_EDGES", edges - 1)
+            with pytest.raises(SizeCapError, match=rf"^{edges} edges \({kind} gadget\) exceeds"):
+                build(source)
+            monkeypatch.undo()
+
+    @pytest.mark.usefixtures("memory_limit")
+    def test_large_sources_are_refused_before_building(self):
+        with pytest.raises(SizeCapError, match=r"^9000000 edges \(co-bipartite gadget\)"):
+            graph_to_cobipartite(Graph.from_edges(3000, []))
+        wide = Hypergraph(1100, [range(1100), range(1100)])
+        with pytest.raises(SizeCapError, match=r"^1212204 edges \(bipartite gadget\)"):
+            hypergraph_to_bipartite(wide)
 
 
 class TestWitnessProjection:

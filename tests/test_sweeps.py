@@ -13,9 +13,23 @@ from types import SimpleNamespace
 
 import pytest
 
-from grundy import ChainProfile, InputError, SizeCapError
+from grundy import (
+    ChainProfile,
+    InputError,
+    SizeCapError,
+    chain_from_profile,
+    grundy_domination_exact,
+    independence_number_exact,
+)
 from grundy import sweeps
-from grundy.sweeps import FAMILIES, ChainSweepReport, SweepOutcome, chain_sweep, edge_set_orbits
+from grundy.sweeps import (
+    FAMILIES,
+    ChainSweepReport,
+    SweepOutcome,
+    chain_sweep,
+    edge_set_orbits,
+    exhaustive_profiles,
+)
 
 from .conftest import labelled_edge_sets, relabel_masks
 
@@ -61,6 +75,62 @@ class TestChainReport:
             "alpha: X(1, 2)/Y(2, 1)",
         ]
         assert report.alpha_mismatches == ["X(1,)/Y(1,)", "X(1, 2)/Y(2, 1)"]
+
+
+def mirror(p: ChainProfile) -> ChainProfile:
+    return ChainProfile(p.sizes_y[::-1], p.sizes_x[::-1])
+
+
+class TestChainClasses:
+    # A and its mirror form one class, B and its mirror another; C is its own mirror
+    A = ChainProfile((1, 2), (3, 1))
+    B = ChainProfile((2,), (1,))
+    C = ChainProfile((1, 1), (1, 1))
+
+    def test_mirrors_share_the_exact_values(self):
+        def exact_values(p):
+            g = chain_from_profile(p)
+            return grundy_domination_exact(g).best_length, independence_number_exact(g)
+
+        profiles = exhaustive_profiles(3, 3, 12)
+        values = {p: exact_values(p) for p in profiles}
+        assert all(values[p] == values[mirror(p)] for p in profiles)
+
+    def test_one_exact_search_per_class(self, monkeypatch):
+        searched, counted = [], []
+
+        def search(g):
+            searched.append(g.n)
+            return grundy_domination_exact(g)
+
+        def alpha(g):
+            counted.append(g.n)
+            return independence_number_exact(g)
+
+        monkeypatch.setattr(sweeps, "grundy_domination_exact", search)
+        monkeypatch.setattr(sweeps, "independence_number_exact", alpha)
+        A, B, C = self.A, self.B, self.C
+        report = chain_sweep([A, mirror(A), A, B, C, mirror(B), mirror(A), C])
+        assert (report.checked, report.failures) == (8, [])
+        assert searched == counted == [7, 3, 4]
+
+    def test_failure_lines_repeat_per_copy(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=0))
+        monkeypatch.setattr(sweeps, "independence_number_exact", lambda g: -1)
+        A, B = self.A, self.B
+        report = chain_sweep([B, A, mirror(A), A])
+        assert report.checked == 4
+        a, a_mirror = "X(1, 2)/Y(3, 1)", "X(1, 3)/Y(2, 1)"
+        assert report.failures == [
+            "gamma: X(2,)/Y(1,) chain=2 exact=0",
+            "alpha: X(2,)/Y(1,)",
+            f"gamma: {a} chain=4 exact=0",
+            f"alpha: {a}",
+            f"gamma: {a} chain=4 exact=0",
+            f"alpha: {a}",
+            f"gamma: {a_mirror} chain=4 exact=0",
+            f"alpha: {a_mirror}",
+        ]
 
 
 def test_run_adds_up_worker_results():
