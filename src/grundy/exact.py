@@ -19,10 +19,16 @@ not on which moves built it; in particular a move already taken can never
 be retaken, since its whole mask is covered. Two prefixes reaching the
 same set therefore have identical futures, so the memo table maps each
 uncovered bitset to its exact remaining length. No branch-and-bound
-information leaks into the table: entries are finished exhaustive values
-(an admissible early exit applies only once a child reaches the ceiling
-min(uncovered bits, live moves), which no continuation can exceed: each
-move adds a new bit and no move is played twice).
+information leaks into the table: entries are finished exhaustive values.
+
+Why the search may stop early: every move adds a new bit and no move is
+played twice, so no set is worth more than min(uncovered bits, live
+moves). The search expands children by ascending gain (the size of the
+move's residual), that is, the child with the most uncovered bits first,
+ties by move index. Once the best length so far reaches 1 + the bit
+count of the next child, neither that child nor any later one, which has
+no more bits, can beat it, and the loop ends; it ends too once the best
+reaches the set's own ceiling. Either way the value stored is exact.
 
 Why the component split is sound: call two uncovered bits linked when
 one move's mask holds both, and split the uncovered set into the
@@ -35,10 +41,10 @@ finds the component of the lowest uncovered bit from a precomputed
 reach[b] (bit b together with every mask containing it): connected
 states pay one AND. A set that splits is valued as value(component) +
 value(rest) and memoized under its own mask like any other; the
-reconstruction of the witness still walks the whole state in the usual
-candidate order and asks value() only, so the witness is the one an
-unsplit search finds. nodes_explored counts expansions of connected
-sets, and so does node_budget.
+reconstruction of the witness still walks the whole state in the witness
+order and asks value() only, so the witness is the one an unsplit search
+finds. nodes_explored counts expansions of connected sets, and so does
+node_budget.
 
 Why twin classes cut the moves tried: vertices with equal open or
 closed neighborhoods (twins) are interchangeable under an automorphism,
@@ -55,21 +61,24 @@ moves give canonical children as they are:
   members left in its class are still its highest ones).
 
 Any other member's move has the same gain, and its child the same
-canonical form, as the move of the lowest member with its coverage, so
-it sorts later in the (-gain, index) candidate order of a search that
-canonicalizes every child, which drops it as a repeat. The graph search
-therefore offers, per class, only the lowest uncovered and the lowest
-covered member, and canonicalizes no child. Its early-exit ceiling
-min(uncovered bits, live moves) needs no count of the moves it skips:
-every uncovered vertex's own move is live, so the ceiling is the number
-of uncovered bits. A component of a canonical set is canonical too, as
-the members of a class lie in one move's mask (their own if closed
-twins, a common neighbor's if open), except for a single isolated vertex
-split off from its class of isolated twins; that set's only move is its
-own, which is offered. So the search visits the same states in the same
-order as one that tries every move and canonicalizes each child, and
-returns the same value, witness and nodes_explored. Only the witness
-reconstruction canonicalizes, since it walks the real state.
+canonical form, as the move of the lowest member with its coverage. In
+a search that tries every move and canonicalizes every child it sorts
+later, since its gain is equal and its index is higher: by then either
+the loop has stopped, or its child is a memo hit that cannot raise the
+best length, which the same child already brought to at least its
+value + 1. The graph search therefore offers, per class, only the
+lowest uncovered and the lowest covered member, and canonicalizes no
+child. Its ceiling min(uncovered bits, live moves) needs no count of the
+moves it skips: every uncovered vertex's own move is live, so the
+ceiling is the number of uncovered bits. A component of a canonical set
+is canonical too, as the members of a class lie in one move's mask
+(their own if closed twins, a common neighbor's if open), except for a
+single isolated vertex split off from its class of isolated twins; that
+set's only move is its own, which is offered. So the search visits the
+same states in the same order as one that tries every move and
+canonicalizes each child, and returns the same value, witness and
+nodes_explored. Only the witness reconstruction canonicalizes, since it
+walks the real state.
 
 For cover and transversal, the interchangeable elements (vertices in the
 same edges, duplicate edges) are bits, not moves, and every move's mask
@@ -202,10 +211,16 @@ def _longest_sequence(
     Returns (length, move_indices, states_expanded). A state is its set of
     uncovered bits; a set that splits into components is valued as the
     sum of its components, and only connected sets are expanded and
-    counted. Candidate order at every expansion: descending size of the
-    move's residual contribution, ties by move index; the witness is
-    reconstructed with the same order on the whole state, so outputs are
-    deterministic.
+    counted.
+
+    Search order at every expansion: ascending size of the move's
+    residual contribution (the child with the most uncovered bits
+    first), ties by move index, stopping once no later child can beat
+    the best (see the module docstring). Witness order: descending size
+    of the residual, ties by move index; the witness is the first move
+    sequence in that order, over the whole state, whose every step keeps
+    the optimum by value(). The search order changes nodes_explored only,
+    never the value or the witness.
 
     twin_classes are the graph's twin classes, for masks that are closed
     neighborhoods (move i holds bit i; see the module docstring): each
@@ -246,7 +261,7 @@ def _longest_sequence(
         for i, mask in (singles if groups else enumerate(masks)):
             residual = mask & free
             if residual:
-                candidates.append((-residual.bit_count(), i, free ^ residual))
+                candidates.append((residual.bit_count(), i, free ^ residual))
         ceiling = free.bit_count()
         if groups:
             # every uncovered vertex's own move is live, so the ceiling
@@ -256,29 +271,25 @@ def _longest_sequence(
                 if inside:
                     i = (inside & -inside).bit_length() - 1
                     residual = masks[i] & free
-                    candidates.append((-residual.bit_count(), i, free ^ residual))
+                    candidates.append((residual.bit_count(), i, free ^ residual))
                 covered = class_mask ^ inside
                 if covered:
                     i = (covered & -covered).bit_length() - 1
                     residual = masks[i] & free
                     if residual:
-                        candidates.append((-residual.bit_count(), i, free ^ residual))
+                        candidates.append((residual.bit_count(), i, free ^ residual))
         elif len(candidates) < ceiling:
             ceiling = len(candidates)
         candidates.sort()
         best = 0
-        seen: set[int] = set()
         for _, _, child in candidates:
-            if child in seen:
-                continue
-            seen.add(child)
+            if best > child.bit_count() or best == ceiling:
+                break
             v = memo.get(child)
             if v is None:
                 v = value(child)
             if v >= best:
                 best = v + 1
-                if best == ceiling:
-                    break
         memo[free] = best
         return best
 
@@ -314,20 +325,17 @@ def grundy_domination_exact(
     g: Graph,
     node_budget: int | None = None,
     hard_cap: int = HARD_CAP,
-    orbit_reduction: bool = True,
 ) -> SearchResult:
     """Maximum length of a dominating sequence, by exhaustive search.
 
     Raises SizeCapError beyond hard_cap vertices and BudgetExceededError
-    when node_budget runs out; never returns a silent lower bound. The
-    orbit_reduction switch changes neither the value nor the witness.
+    when node_budget runs out; never returns a silent lower bound.
     """
     if g.n > hard_cap:
         raise SizeCapError(g.n, hard_cap)
     masks = [_closed_mask(g, v) for v in range(g.n)]
     full = (1 << g.n) - 1
-    classes = graph_twin_classes(g) if orbit_reduction else None
-    length, moves, nodes = _longest_sequence(masks, full, classes, node_budget)
+    length, moves, nodes = _longest_sequence(masks, full, graph_twin_classes(g), node_budget)
     seq = check_closed_neighborhood_sequence(g, moves)
     if len(seq) != length or seq.covered() != g.n:
         raise VerificationError(

@@ -6,6 +6,7 @@ ground truth for the solvers.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 
@@ -14,12 +15,12 @@ import pytest
 from grundy import Graph, Hypergraph
 
 
-@pytest.fixture
-def memory_limit():
-    """Cap this process's address space at 512 MiB above its current size
-    for one test. A test of a guard against header-sized allocations then
-    fails with MemoryError, instead of filling the machine, if the guard
-    is ever lost."""
+@contextlib.contextmanager
+def address_space_cap(headroom: int = 512 << 20):
+    """Cap this process's address space at headroom bytes above its current
+    size while the block runs. Code that loses a guard against header-sized
+    allocations then raises MemoryError, instead of filling the machine.
+    Skips the test where the cap cannot be set."""
     resource = pytest.importorskip("resource")
     try:
         with open("/proc/self/statm") as fh:
@@ -27,7 +28,7 @@ def memory_limit():
     except OSError:
         pytest.skip("needs /proc/self/statm to size the limit")
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    limit = size + (512 << 20)
+    limit = size + headroom
     if hard != resource.RLIM_INFINITY:
         limit = min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
@@ -35,6 +36,13 @@ def memory_limit():
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.fixture
+def memory_limit():
+    """address_space_cap() for one whole test."""
+    with address_space_cap():
+        yield
 
 
 # ---- small graph builders --------------------------------------------------

@@ -4,17 +4,20 @@ Whatever the bytes, the command line must end in one of its exit codes
 (0 success, 2 input, 3 size or budget cap, 4 verification, 5 method) and
 never in an uncaught exception. Header counts are mostly tiny, so the
 exact search stays quick, but some sit past a cap, where nothing sized by
-them may be built: the test runs under the memory_limit fixture.
+them may be built: each command runs under address_space_cap(), and one
+that runs out of memory fails the test with its argv and input files.
 """
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from grundy.cli import main
+
+from .conftest import address_space_cap
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -99,15 +102,26 @@ def command_lines(draw, tmp_path):
     return argv
 
 
-@pytest.mark.usefixtures("memory_limit")
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_file_ends_in_an_exit_code(tmp_path, capsys, data):
     argv = data.draw(command_lines(tmp_path), label="argv")
+    out_of_memory = False
     try:
-        code = main(argv)
+        # every well-formed run needs far less; a tight cap makes each
+        # example that runs out of memory fail within a fraction of a
+        # second, so hypothesis can shrink it to its smallest input quickly
+        with address_space_cap(128 << 20):
+            code = main(argv)
     except SystemExit as exc:
         code = exc.code
+    except MemoryError:
+        # reported below, outside the cap, once the handler has let go of
+        # the exception and of the frames holding what was allocated
+        out_of_memory = True
+    assert not out_of_memory, f"MemoryError from {argv} on input files " + repr(
+        {Path(arg).name: Path(arg).read_bytes() for arg in argv if arg.endswith(".txt")}
+    )
     err = capsys.readouterr().err
     event(f"{argv[0]} exit {code}")
     assert code in EXIT_CODES

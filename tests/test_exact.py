@@ -18,7 +18,7 @@ from grundy import (
     is_legal_edge_sequence,
     is_legal_transversal_sequence,
 )
-from grundy.exact import graph_twin_classes
+from grundy.exact import _closed_mask, _longest_sequence, graph_twin_classes
 from grundy.generators import ChainProfile, chain_from_profile, random_graph, random_hypergraph
 
 from .conftest import (
@@ -78,13 +78,21 @@ class TestGrundyDomination:
         )
 
 
+def _plain_search(g: Graph) -> tuple[int, tuple[int, ...], int]:
+    """The engine over closed neighborhoods with no twin classes: length,
+    witness order and nodes explored."""
+    masks = [_closed_mask(g, v) for v in range(g.n)]
+    length, moves, nodes = _longest_sequence(masks, (1 << g.n) - 1)
+    return length, tuple(moves), nodes
+
+
 def _assert_search_modes_agree(g: Graph) -> None:
     full = grundy_domination_exact(g)
-    no_orbit = grundy_domination_exact(g, orbit_reduction=False)
+    plain_length, plain_order, _ = _plain_search(g)
     length, order = first_longest_dominating(g)
     assert check_subset_ordering(g, full.best_sequence)
-    assert full.best_length == no_orbit.best_length == length
-    assert full.best_sequence.order == no_orbit.best_sequence.order
+    assert full.best_length == plain_length == length
+    assert full.best_sequence.order == plain_order
     assert full.best_sequence.order == order
 
 
@@ -303,10 +311,9 @@ class TestComponentSplit:
         rnd.shuffle(perm)
         g = disjoint_union(parts, perm)
         length, order = first_longest_dominating(g)
-        for orbit_reduction in (True, False):
-            res = grundy_domination_exact(g, orbit_reduction=orbit_reduction)
-            assert res.best_length == length
-            assert res.best_sequence.order == order
+        res = grundy_domination_exact(g)
+        assert (res.best_length, res.best_sequence.order) == (length, order)
+        assert _plain_search(g)[:2] == (length, order)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -364,55 +371,67 @@ TRANSVERSAL_DUPLICATES = Hypergraph(5, [(0, 1, 2), (0, 1, 2, 3), (1,), (0,), (1,
 
 
 class TestPinnedSearch:
-    """Exact search outcomes recorded from the engine that tried every move
-    and canonicalized every child: the value, the witness and the number of
-    states expanded, with and without twin classes."""
+    """Exact search outcomes: the value and the witness recorded from the
+    engine that tried every move and canonicalized every child, and the
+    number of states expanded, with and without twin classes, by the search
+    that tries the child with the most uncovered bits first and stops once
+    no child's bit count can beat the best."""
 
     @pytest.mark.parametrize(
         "make, length, order, nodes, plain_nodes",
         [
-            pytest.param(lambda: path_graph(16), 15, tuple(range(15)), 107, 107, id="P16"),
+            pytest.param(lambda: path_graph(16), 15, tuple(range(15)), 106, 106, id="P16"),
             pytest.param(
-                lambda: _chain((1, 2, 1), (2, 1, 3)), 7, (1, 0, 2, 4, 7, 8, 3), 35, 83,
+                lambda: _chain((1, 2, 1), (2, 1, 3)), 7, (1, 0, 2, 4, 7, 8, 3), 19, 27,
                 id="chain-121x213",
             ),
             pytest.param(
-                lambda: _chain((3, 3), (2, 2)), 6, (3, 0, 1, 2, 4, 5), 19, 55, id="chain-33x22"
+                lambda: _chain((3, 3), (2, 2)), 6, (3, 0, 1, 2, 4, 5), 17, 23, id="chain-33x22"
             ),
             pytest.param(
                 lambda: _chain((2, 1, 2, 1), (1, 3, 1, 2)),
-                9, (7, 8, 9, 2, 0, 1, 3, 11, 5), 92, 199,
+                9, (7, 8, 9, 2, 0, 1, 3, 11, 5), 45, 59,
                 id="chain-2121x1312",
             ),
             pytest.param(
                 lambda: _chain((2, 1, 2), (2, 1, 3), step=5),
-                7, (2, 10, 0, 1, 3, 6, 4), 44, 114,
+                7, (2, 10, 0, 1, 3, 6, 4), 25, 40,
                 id="chain-212x213-shuffled",
             ),
             pytest.param(
                 lambda: _blow_up(cycle_graph(6), [2, 1, 3, 2, 1, 3], [True] * 6),
-                4, (0, 2, 3, 6), 19, 19,
+                4, (0, 2, 3, 6), 18, 18,
                 id="closed-twin-C6",
             ),
             pytest.param(
-                _cycle_with_isolated, 7, (0, 1, 2, 3, 4, 5, 8), 21, 21, id="three-isolated"
+                _cycle_with_isolated, 7, (0, 1, 2, 3, 4, 5, 8), 8, 8, id="three-isolated"
             ),
         ],
     )
     def test_graphs(self, make, length, order, nodes, plain_nodes):
         g = make()
-        for orbit_reduction, expected_nodes in ((True, nodes), (False, plain_nodes)):
-            res = grundy_domination_exact(g, orbit_reduction=orbit_reduction)
-            assert (res.best_length, res.best_sequence.order, res.nodes_explored) == (
-                length,
-                order,
-                expected_nodes,
-            )
+        res = grundy_domination_exact(g)
+        assert (res.best_length, res.best_sequence.order, res.nodes_explored) == (
+            length,
+            order,
+            nodes,
+        )
+        assert _plain_search(g) == (length, order, plain_nodes)
 
     def test_cover_with_duplicate_edges(self):
         res = grundy_cover_exact(COVER_DUPLICATES)
-        assert (res.best_length, res.best_sequence, res.nodes_explored) == (4, (2, 0, 1, 4), 4)
+        assert (res.best_length, res.best_sequence, res.nodes_explored) == (4, (2, 0, 1, 4), 5)
 
     def test_transversal_with_duplicate_edges(self):
         res = grundy_transversal_exact(TRANSVERSAL_DUPLICATES)
         assert (res.best_length, res.best_sequence, res.nodes_explored) == (5, (3, 2, 0, 4, 1), 5)
+
+    def test_random_graph_past_the_cap(self):
+        # trying the fewest uncovered bits first finds the same witness
+        # after 256,194 states
+        res = grundy_domination_exact(random_graph(30, 0.2, 1), hard_cap=30)
+        assert (res.best_length, res.best_sequence.order, res.nodes_explored) == (
+            20,
+            (11, 1, 4, 8, 14, 15, 19, 22, 29, 9, 26, 6, 2, 12, 0, 23, 3, 5, 10, 16),
+            9704,
+        )
