@@ -46,44 +46,19 @@ order and asks value() only, so the witness is the one an unsplit search
 finds. nodes_explored counts expansions of connected sets, and so does
 node_budget.
 
-Why twin classes cut the moves tried: vertices with equal open or
-closed neighborhoods (twins) are interchangeable under an automorphism,
-so an uncovered set is worth the same as its canonical form, in which
-the uncovered members of each twin class are its highest indices. For
-any vertex v, N[v] is a union of whole twin classes, plus v itself when
-v is an open twin: a twin of a neighbor of v is a neighbor of v or v
-itself, and open twins are never adjacent. So from a canonical set these
-moves give canonical children as they are:
+Why twin classes cut the moves tried: vertices with equal open or closed
+neighborhoods (twins) are interchangeable. For any uncovered set,
+swapping two twins that are both uncovered, or both covered, is an
+automorphism of the graph that fixes the set and maps one twin's move to
+the other's, so the two moves have children of equal value. The graph
+search therefore offers, per class, only its lowest uncovered and its
+lowest covered member. That is exact on any uncovered set, so the
+witness reconstruction asks value() about the real children it walks.
+The ceiling min(uncovered bits, live moves) needs no count of the moves
+skipped: every uncovered vertex's own move is live, so the ceiling is
+the number of uncovered bits.
 
-* a move from a vertex in no class;
-* a move from a covered member of a class (it removes whole classes);
-* a move from the lowest uncovered member of a class (the uncovered
-  members left in its class are still its highest ones).
-
-Any other member's move has the same gain, and its child the same
-canonical form, as the move of the lowest member with its coverage. In
-a search that tries every move and canonicalizes every child it sorts
-later, since its gain is equal and its index is higher: by then either
-the loop has stopped, or its child is a memo hit that cannot raise the
-best length, which the same child already brought to at least its
-value + 1. The graph search therefore offers, per class, only the
-lowest uncovered and the lowest covered member, and canonicalizes no
-child. Its ceiling min(uncovered bits, live moves) needs no count of the
-moves it skips: every uncovered vertex's own move is live, so the
-ceiling is the number of uncovered bits. A component of a canonical set
-is canonical too, as the members of a class lie in one move's mask
-(their own if closed twins, a common neighbor's if open), except for a
-single isolated vertex split off from its class of isolated twins; that
-set's only move is its own, which is offered. So the search visits the
-same states in the same order as one that tries every move and
-canonicalizes each child, and returns the same value, witness and
-nodes_explored. Only the witness reconstruction canonicalizes, since it
-walks the real state.
-
-For cover and transversal, the interchangeable elements (vertices in the
-same edges, duplicate edges) are bits, not moves, and every move's mask
-holds whole classes of them: every state is canonical already, so those
-searches take no classes.
+The cover and transversal searches take no classes and try every move.
 """
 from __future__ import annotations
 
@@ -119,7 +94,8 @@ class SearchResult:
     best_sequence is a VertexSequence for graph domination and a tuple of
     move indices (edges or vertices) for the hypergraph variants; it always
     re-verifies through the independent checkers before being returned.
-    nodes_explored counts the connected uncovered sets the search expanded.
+    nodes_explored counts the connected uncovered sets the search and the
+    witness reconstruction expanded.
     """
 
     best_length: int
@@ -163,29 +139,6 @@ def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
 # ---- core search -----------------------------------------------------------
 
 
-def _make_canon(classes: list[tuple[int, ...]]):
-    """Return a canonicalizer of uncovered sets for the given
-    interchangeability classes: within each class, the uncovered members
-    move to the highest indices."""
-    tables = []
-    for members in classes:
-        class_mask = 0
-        suffixes = [0]
-        for b in reversed(members):
-            class_mask |= 1 << b
-            suffixes.append(suffixes[-1] | 1 << b)
-        tables.append((class_mask, suffixes))
-
-    def canon(free: int) -> int:
-        for class_mask, suffixes in tables:
-            inside = free & class_mask
-            if inside and inside != class_mask:
-                free = (free & ~class_mask) | suffixes[inside.bit_count()]
-        return free
-
-    return canon
-
-
 def _reach_table(masks: Sequence[int], full: int) -> list[int]:
     """reach[b]: bit b together with every mask that contains bit b, so the
     uncovered bits linked to b in an uncovered set `free` are reach[b] & free."""
@@ -219,8 +172,11 @@ def _longest_sequence(
     the best (see the module docstring). Witness order: descending size
     of the residual, ties by move index; the witness is the first move
     sequence in that order, over the whole state, whose every step keeps
-    the optimum by value(). The search order changes nodes_explored only,
-    never the value or the witness.
+    the optimum by value(). The reconstruction skips a child with fewer
+    than need - 1 uncovered bits, as it cannot be worth need - 1. Its
+    expansions count toward nodes_explored and node_budget like the
+    search's. The search order changes nodes_explored only, never the
+    value or the witness.
 
     twin_classes are the graph's twin classes, for masks that are closed
     neighborhoods (move i holds bit i; see the module docstring): each
@@ -296,7 +252,6 @@ def _longest_sequence(
     total = value(full)
     moves: list[int] = []
     if want_witness:
-        canon = _make_canon(twin_classes) if twin_classes else None
         free = full
         need = total
         while need:
@@ -307,8 +262,8 @@ def _longest_sequence(
             ]
             candidates.sort()
             for _, i, child in candidates:
-                key = canon(child) if canon else child
-                if 1 + value(key) == need:
+                # a set is worth at most its bit count
+                if child.bit_count() >= need - 1 and 1 + value(child) == need:
                     moves.append(i)
                     free = child
                     need -= 1
@@ -321,18 +276,14 @@ def _longest_sequence(
 # ---- public solvers --------------------------------------------------------
 
 
-def grundy_domination_exact(
-    g: Graph,
-    node_budget: int | None = None,
-    hard_cap: int = HARD_CAP,
-) -> SearchResult:
+def grundy_domination_exact(g: Graph, node_budget: int | None = None) -> SearchResult:
     """Maximum length of a dominating sequence, by exhaustive search.
 
-    Raises SizeCapError beyond hard_cap vertices and BudgetExceededError
+    Raises SizeCapError beyond HARD_CAP vertices and BudgetExceededError
     when node_budget runs out; never returns a silent lower bound.
     """
-    if g.n > hard_cap:
-        raise SizeCapError(g.n, hard_cap)
+    if g.n > HARD_CAP:
+        raise SizeCapError(g.n, HARD_CAP)
     masks = [_closed_mask(g, v) for v in range(g.n)]
     full = (1 << g.n) - 1
     length, moves, nodes = _longest_sequence(masks, full, graph_twin_classes(g), node_budget)
@@ -351,14 +302,10 @@ def _closed_mask(g: Graph, v: int) -> int:
     return mask
 
 
-def grundy_cover_exact(
-    h: Hypergraph,
-    node_budget: int | None = None,
-    hard_cap: int = HARD_CAP,
-) -> SearchResult:
+def grundy_cover_exact(h: Hypergraph, node_budget: int | None = None) -> SearchResult:
     """Maximum length of an edge covering sequence, by exhaustive search."""
-    if h.m > hard_cap:
-        raise SizeCapError(h.m, hard_cap, what="edges")
+    if h.m > HARD_CAP:
+        raise SizeCapError(h.m, HARD_CAP, what="edges")
     isolated = h.isolated_vertices()
     if isolated:
         raise IsolatedVertexError(isolated[0], "every vertex must lie in some edge")
@@ -372,14 +319,10 @@ def grundy_cover_exact(
     return SearchResult(length, order, nodes)
 
 
-def grundy_transversal_exact(
-    h: Hypergraph,
-    node_budget: int | None = None,
-    hard_cap: int = HARD_CAP,
-) -> SearchResult:
+def grundy_transversal_exact(h: Hypergraph, node_budget: int | None = None) -> SearchResult:
     """Maximum length of a legal transversal sequence, by exhaustive search."""
-    if h.m > hard_cap:
-        raise SizeCapError(h.m, hard_cap, what="edges")
+    if h.m > HARD_CAP:
+        raise SizeCapError(h.m, HARD_CAP, what="edges")
     full = (1 << h.m) - 1
     length, moves, nodes = _longest_sequence(h.vertex_masks, full, node_budget=node_budget)
     order = tuple(moves)
@@ -390,10 +333,10 @@ def grundy_transversal_exact(
     return SearchResult(length, order, nodes)
 
 
-def independence_number_exact(g: Graph, hard_cap: int = HARD_CAP) -> int:
+def independence_number_exact(g: Graph) -> int:
     """Brute-force maximum independent set size."""
-    if g.n > hard_cap:
-        raise SizeCapError(g.n, hard_cap)
+    if g.n > HARD_CAP:
+        raise SizeCapError(g.n, HARD_CAP)
     reach = [_closed_mask(g, v) for v in range(g.n)]
     memo: dict[int, int] = {}
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,14 @@ from grundy import (
     is_legal_transversal_sequence,
 )
 from grundy.exact import _closed_mask, _longest_sequence, graph_twin_classes
-from grundy.generators import ChainProfile, chain_from_profile, random_graph, random_hypergraph
+from grundy.generators import (
+    ChainProfile,
+    XorShift64Star,
+    chain_from_profile,
+    random_chain_profile,
+    random_graph,
+    random_hypergraph,
+)
 
 from .conftest import (
     brute_alpha,
@@ -256,18 +265,30 @@ class TestTwinClasses:
         # split cuts into single vertices
         _assert_search_modes_agree(g)
 
+    @settings(max_examples=100, deadline=None)
+    @given(twin_rich_graphs(), st.data())
+    def test_exact_on_any_uncovered_set(self, g, data):
+        free = data.draw(st.integers(1, (1 << g.n) - 1))
+        masks = [_closed_mask(g, v) for v in range(g.n)]
+        assert (
+            _longest_sequence(masks, free, graph_twin_classes(g))[:2]
+            == _longest_sequence(masks, free)[:2]
+        )
+
 
 class TestComponentSplit:
-    def test_paths_up_to_40(self):
+    def test_paths_up_to_40(self, monkeypatch):
+        monkeypatch.setattr("grundy.exact.HARD_CAP", 40)
         for n in range(2, 41):
-            res = grundy_domination_exact(path_graph(n), hard_cap=40)
+            res = grundy_domination_exact(path_graph(n))
             assert res.best_length == n - 1
             assert res.nodes_explored <= n * n
             assert is_dominating_sequence(path_graph(n), res.best_sequence.order)
 
-    def test_cycles_up_to_40(self):
+    def test_cycles_up_to_40(self, monkeypatch):
+        monkeypatch.setattr("grundy.exact.HARD_CAP", 40)
         for n in range(3, 41):
-            res = grundy_domination_exact(cycle_graph(n), hard_cap=40)
+            res = grundy_domination_exact(cycle_graph(n))
             assert res.best_length == n - 2
             assert res.nodes_explored <= n * n
             assert is_dominating_sequence(cycle_graph(n), res.best_sequence.order)
@@ -372,30 +393,31 @@ TRANSVERSAL_DUPLICATES = Hypergraph(5, [(0, 1, 2), (0, 1, 2, 3), (1,), (0,), (1,
 
 class TestPinnedSearch:
     """Exact search outcomes: the value and the witness recorded from the
-    engine that tried every move and canonicalized every child, and the
-    number of states expanded, with and without twin classes, by the search
-    that tries the child with the most uncovered bits first and stops once
-    no child's bit count can beat the best."""
+    engine that tried every move, and the number of states expanded, with
+    and without twin classes. The count covers the search, which tries the
+    child with the most uncovered bits first and stops once no child's bit
+    count can beat the best, and the witness reconstruction, which asks
+    value() about the real children and skips those with too few bits."""
 
     @pytest.mark.parametrize(
         "make, length, order, nodes, plain_nodes",
         [
-            pytest.param(lambda: path_graph(16), 15, tuple(range(15)), 106, 106, id="P16"),
+            pytest.param(lambda: path_graph(16), 15, tuple(range(15)), 15, 15, id="P16"),
             pytest.param(
-                lambda: _chain((1, 2, 1), (2, 1, 3)), 7, (1, 0, 2, 4, 7, 8, 3), 19, 27,
+                lambda: _chain((1, 2, 1), (2, 1, 3)), 7, (1, 0, 2, 4, 7, 8, 3), 14, 18,
                 id="chain-121x213",
             ),
             pytest.param(
-                lambda: _chain((3, 3), (2, 2)), 6, (3, 0, 1, 2, 4, 5), 17, 23, id="chain-33x22"
+                lambda: _chain((3, 3), (2, 2)), 6, (3, 0, 1, 2, 4, 5), 14, 19, id="chain-33x22"
             ),
             pytest.param(
                 lambda: _chain((2, 1, 2, 1), (1, 3, 1, 2)),
-                9, (7, 8, 9, 2, 0, 1, 3, 11, 5), 45, 59,
+                9, (7, 8, 9, 2, 0, 1, 3, 11, 5), 34, 43,
                 id="chain-2121x1312",
             ),
             pytest.param(
                 lambda: _chain((2, 1, 2), (2, 1, 3), step=5),
-                7, (2, 10, 0, 1, 3, 6, 4), 25, 40,
+                7, (2, 10, 0, 1, 3, 6, 4), 18, 28,
                 id="chain-212x213-shuffled",
             ),
             pytest.param(
@@ -404,7 +426,7 @@ class TestPinnedSearch:
                 id="closed-twin-C6",
             ),
             pytest.param(
-                _cycle_with_isolated, 7, (0, 1, 2, 3, 4, 5, 8), 8, 8, id="three-isolated"
+                _cycle_with_isolated, 7, (0, 1, 2, 3, 4, 5, 8), 7, 7, id="three-isolated"
             ),
         ],
     )
@@ -426,12 +448,53 @@ class TestPinnedSearch:
         res = grundy_transversal_exact(TRANSVERSAL_DUPLICATES)
         assert (res.best_length, res.best_sequence, res.nodes_explored) == (5, (3, 2, 0, 4, 1), 5)
 
-    def test_random_graph_past_the_cap(self):
+    def test_random_graph_past_the_cap(self, monkeypatch):
         # trying the fewest uncovered bits first finds the same witness
         # after 256,194 states
-        res = grundy_domination_exact(random_graph(30, 0.2, 1), hard_cap=30)
+        monkeypatch.setattr("grundy.exact.HARD_CAP", 30)
+        res = grundy_domination_exact(random_graph(30, 0.2, 1))
         assert (res.best_length, res.best_sequence.order, res.nodes_explored) == (
             20,
             (11, 1, 4, 8, 14, 15, 19, 22, 29, 9, 26, 6, 2, 12, 0, 23, 3, 5, 10, 16),
-            9704,
+            9299,
         )
+
+
+def _shuffled(g: Graph, rng: XorShift64Star) -> Graph:
+    perm = list(range(g.n))
+    for i in range(g.n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _digest_family():
+    """2,000 seeded exact calls: G(n, p), shuffled twin blow-ups, shuffled
+    chain profiles, and cover and transversal on random hypergraphs."""
+    rng = XorShift64Star(2023)
+    for seed in range(600):
+        yield grundy_domination_exact, random_graph(1 + seed % 16, rng.next_float(), seed)
+    for _ in range(400):
+        k = 1 + rng.next_below(5)
+        base = random_graph(k, rng.next_float(), rng.next_below(10**6))
+        sizes = [1 + rng.next_below(3) for _ in range(k)]
+        closed = [bool(rng.next_bit()) for _ in range(k)]
+        yield grundy_domination_exact, _shuffled(_blow_up(base, sizes, closed), rng)
+    for seed in range(400):
+        profile = random_chain_profile(18, seed)
+        yield grundy_domination_exact, _shuffled(chain_from_profile(profile), rng)
+    for seed in range(300):
+        h = random_hypergraph(2 + seed % 9, 2 + rng.next_below(9), seed)
+        yield grundy_cover_exact, h
+        yield grundy_transversal_exact, h
+
+
+def test_values_and_witnesses_digest():
+    # pins (value, witness) of every call, but not nodes_explored, so a
+    # change to the search order or its pruning must leave this unchanged
+    digest = hashlib.sha256()
+    for solve, instance in _digest_family():
+        res = solve(instance)
+        witness = getattr(res.best_sequence, "order", res.best_sequence)
+        digest.update(repr((res.best_length, witness)).encode())
+    assert digest.hexdigest() == "6c07850246559931de99273f645ff6646eea0527368d1abaca0b5741eeb6e722"
