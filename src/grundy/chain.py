@@ -2,18 +2,21 @@
 
 A chain graph is a bipartite graph whose one side's neighborhoods form a
 containment chain (then both sides' do). Recognition runs no BFS. One
-degree pass finds a vertex of maximum degree; in a chain graph without
-isolated vertices it is adjacent to a whole side, so its neighborhood and
-the rest are the two candidate sides. A bucket sort by degree orders the
-rest, since nesting forces degree order, and containment is verified only
+degree pass finds a vertex of maximum degree, the hub, and its neighbor w
+of maximum degree; in a chain graph without isolated vertices both are
+adjacent to a whole side, so N(w) and N(hub) are the two candidate sides,
+and neither is found by walking the other. A bucket sort by degree orders
+N(w), since nesting forces degree order, and containment is verified only
 between consecutive vertices; equal-degree vertices must have identical
 neighborhoods. That scan and one degree sum prove the split is a
 2-colouring (recognize_chain gives the argument), so the whole test is
 linear in the number of edges. It simultaneously yields the open-twin
-partition X_1..X_k / Y_1..Y_k, because classes are exactly the
-equal-neighborhood runs (equivalently, within a chain graph, the
-equal-degree runs). Only a rejected graph is 2-coloured by BFS, so that
-the reason and witness pair come from the BFS sides.
+partition X_1..X_k / Y_1..Y_k: the classes of N(w) are its equal-degree
+runs, and the classes of N(hub) are what each run's row adds to the row
+before, the stretches the containment merge jumps over, so the larger
+side costs one slice per class rather than a step per vertex. Only a
+rejected graph is 2-coloured by BFS, so that the reason and witness pair
+come from the BFS sides.
 
 grundy_chain evaluates a (k+1)-entry score table over the twin partition,
 picks a maximizing index, and emits the corresponding concatenation of
@@ -49,17 +52,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainStructure:
-    """Chain ordering plus open-twin partition of a chain graph.
+    """Open-twin partition of a chain graph, as recognize_chain returns it.
 
-    x_order lists the X side with nested neighborhoods, smallest first;
-    y_order lists the Y side with reverse-nested neighborhoods. x_parts and
-    y_parts are the twin classes in chain order, so N(X_i) is the union of
-    Y_1..Y_i and N(Y_j) is the union of X_j..X_k.
+    x_parts and y_parts are the twin classes in chain order, each class in
+    ascending vertex order, so N(X_i) is the union of Y_1..Y_i and N(Y_j)
+    is the union of X_j..X_k. x_order lists the X side with nested
+    neighborhoods, smallest first; y_order lists the Y side with
+    reverse-nested neighborhoods. Both are read off the parts.
     """
 
     graph: Graph
-    x_order: tuple[int, ...]
-    y_order: tuple[int, ...]
     x_parts: tuple[tuple[int, ...], ...]
     y_parts: tuple[tuple[int, ...], ...]
 
@@ -68,26 +70,44 @@ class ChainStructure:
         return len(self.x_parts)
 
     @property
+    def x_order(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.x_parts))
+
+    @property
+    def y_order(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.y_parts))
+
+    @property
     def n1(self) -> int:
-        return len(self.x_order)
+        return sum(map(len, self.x_parts))
 
     @property
     def n2(self) -> int:
-        return len(self.y_order)
+        return sum(map(len, self.y_parts))
 
 
-def _subset_sorted(small, big) -> bool:
-    # Merge walk that bisects past runs of big absent from small, so a
-    # small row inside a huge one costs O(len(small) log len(big)).
+def _row_gaps(small, big) -> list | None:
+    """The non-empty slices of big that hold big minus small, in order, or
+    None unless small is a subset of big (both sorted).
+
+    A merge walk that bisects past each run of big absent from small, so a
+    small row inside a huge one costs O(len(small) log len(big)), and the
+    runs it jumps over come out as slices at no extra cost.
+    """
+    gaps = []
     i = 0
     limit = len(big)
     for v in small:
         if i < limit and big[i] != v:
-            i = bisect_left(big, v, i)
+            j = bisect_left(big, v, i)
+            gaps.append(big[i:j])
+            i = j
         if i == limit or big[i] != v:
-            return False
+            return None
         i += 1
-    return True
+    if i < limit:
+        gaps.append(big[i:])
+    return gaps
 
 
 def _degree_runs(members: Sequence[int], deg: list[int]) -> list[list[int]]:
@@ -106,42 +126,46 @@ def _degree_runs(members: Sequence[int], deg: list[int]) -> list[list[int]]:
     return [buckets[d] for d in sorted(buckets)]
 
 
-def _check_nested(adj, runs: list[list[int]]) -> None:
+def _check_nested(adj, runs: list[list[int]]) -> list[Sequence[int]]:
     """Raise NotChainGraphError unless every run's rows are equal and each
-    run's row is contained in the next one's.
+    run's row is contained in the next one's; return the other side's
+    classes, in the order the rows gain them.
 
     This is the consecutive-containment scan over the degree order, run by
     run: the witness is the first adjacent pair in that order that fails.
+    The classes are the first run's row, then what each later run's row
+    adds to the one before, each in ascending order: the stretches that
+    _row_gaps jumps over. After a passing scan, class i holds the vertices
+    whose first neighbor run is run i, so they are twins, in falling order
+    of degree; consecutive runs differ in degree, so no class is empty.
     """
+    classes: list[Sequence[int]] = []
     prev = -1
     prev_row: Sequence[int] = ()
     for run in runs:
         rows = list(map(adj.__getitem__, run))
         row = rows[0]
-        if prev >= 0 and not _subset_sorted(prev_row, row):
+        gaps = _row_gaps(prev_row, row)
+        if gaps is None:
             raise NotChainGraphError("incomparable neighborhoods", (prev, run[0]))
+        classes.append(gaps[0] if len(gaps) == 1 else tuple(chain.from_iterable(gaps)))
         if rows.count(row) != len(rows):
             bad = next(i for i, other in enumerate(rows) if other != row)
             raise NotChainGraphError("incomparable neighborhoods", (run[bad - 1], run[bad]))
         prev, prev_row = run[-1], row
+    return classes
 
 
-def _hub_split(g: Graph, deg: list[int]) -> tuple[list[int], Sequence[int]]:
-    """Split V into the rest and N(hub), hub the lowest-index vertex of
-    maximum degree; both parts come out in ascending order.
+def _rest_side(adj, deg: list[int]) -> Sequence[int]:
+    """N(w), in ascending order: the hub is the lowest-index vertex of
+    maximum degree and w its first neighbor of maximum degree.
 
-    The split is only a candidate 2-colouring until recognize_chain has
-    proven it. The hub itself lies in the rest.
+    N(w) holds the hub. On a chain graph with no isolated vertex it is
+    the side that N(hub) misses, found without walking N(hub); elsewhere it
+    is only a candidate side until recognize_chain has proven it.
     """
-    hub_row = g.adjacency[deg.index(max(deg))]
-    rest: list[int] = []
-    lo = 0
-    for u in hub_row:
-        if u != lo:
-            rest.extend(range(lo, u))
-        lo = u + 1
-    rest.extend(range(lo, g.n))
-    return rest, hub_row
+    hub_row = adj[deg.index(max(deg))]
+    return adj[max(hub_row, key=deg.__getitem__)]
 
 
 def recognize_chain(g: Graph) -> ChainStructure:
@@ -153,18 +177,21 @@ def recognize_chain(g: Graph) -> ChainStructure:
 
     The sides come from one degree pass, not a BFS. In a chain graph with
     no isolated vertex, a vertex of maximum degree (the hub) is adjacent to
-    a whole side, so N(hub) and the rest H are the candidate sides. The
-    containment scan over H nests every H row into the row of its last
-    degree run, and that run holds the hub, so the row is N(hub): no edge
-    joins two vertices of H. The degrees over H then sum to the edge count
-    only if no edge joins two vertices of N(hub) either. Every vertex of
-    N(hub) touches the hub, so a proven split is connected, hence the
-    unique 2-colouring, the one graph.bipartition finds; X is the side
-    holding vertex 0, as there. H nested makes the other side nested too,
-    so its degree runs are its twin classes without a second scan. When a
-    check fails, the BFS sides name the rejection: "not bipartite" on an
-    odd cycle, else the scan over their X side reports its first
-    incomparable pair.
+    a whole side, and so is its neighbor w of maximum degree; the candidate
+    sides are H = N(w) and N(hub), and the hub lies in H. The containment
+    scan over H nests every H row into the row of its last degree run, and
+    that run holds the hub, so every H row lies inside N(hub). Hence H and
+    N(hub) are disjoint: a vertex in both would have the hub as a neighbor
+    inside N(hub). So no edge joins two vertices of H, and the degrees over
+    H sum to the edge count only if every edge has exactly one end in H;
+    then each vertex outside H has a neighbor in H, so lies in N(hub), and
+    the two sides cover V. Every vertex of N(hub) touches the hub, so a
+    proven split is connected, hence the unique 2-colouring, the one
+    graph.bipartition finds; X is the side holding vertex 0, as there. The
+    scan over H also yields N(hub)'s twin classes, so that side is never
+    sorted. When a check fails, the BFS sides name the rejection: "not
+    bipartite" on an odd cycle, else the scan over their X side reports its
+    first incomparable pair.
     """
     if g.n == 0:
         raise NotChainGraphError("empty graph")
@@ -173,37 +200,32 @@ def recognize_chain(g: Graph) -> ChainStructure:
     if 0 in deg:
         raise IsolatedVertexError(deg.index(0), "chain recognition requires none")
 
-    rest, hub_row = _hub_split(g, deg)
+    rest = _rest_side(adj, deg)
     rest_runs = _degree_runs(rest, deg)
     try:
-        _check_nested(adj, rest_runs)
+        hub_classes = _check_nested(adj, rest_runs)
     except NotChainGraphError:
         proven = False
     else:
         proven = sum(deg[run[0]] * len(run) for run in rest_runs) == g.edge_count
-    if proven:
-        hub_runs = _degree_runs(hub_row, deg)
-        x_runs, y_runs = (rest_runs, hub_runs) if rest[0] == 0 else (hub_runs, rest_runs)
-    else:
+    if not proven:
         sides = bipartition(g)
         if sides is None:
             raise NotChainGraphError("not bipartite")
-        x_runs = _degree_runs(sorted(sides.side_x), deg)
-        _check_nested(adj, x_runs)
-        y_runs = _degree_runs(sorted(sides.side_y), deg)
+        rest = sorted(sides.side_x)
+        rest_runs = _degree_runs(rest, deg)
+        # raises on every graph that gets here: each chain graph is proven
+        # above, and a bipartite graph with no isolated vertex whose X side
+        # nests is a chain graph
+        hub_classes = _check_nested(adj, rest_runs)
 
-    y_runs.reverse()
-    if len(x_runs) != len(y_runs):
-        raise VerificationError(
-            f"twin partition mismatch: {len(x_runs)} X parts, {len(y_runs)} Y parts"
-        )
-    return ChainStructure(
-        g,
-        tuple(chain.from_iterable(x_runs)),
-        tuple(chain.from_iterable(y_runs)),
-        tuple(map(tuple, x_runs)),
-        tuple(map(tuple, y_runs)),
-    )
+    # rest_runs ascend in degree, and hub_classes gain the rest's rows in
+    # the same order, so they descend in degree
+    if rest[0] == 0:
+        x_runs, y_runs = rest_runs, hub_classes
+    else:
+        x_runs, y_runs = hub_classes[::-1], rest_runs[::-1]
+    return ChainStructure(g, tuple(map(tuple, x_runs)), tuple(map(tuple, y_runs)))
 
 
 def _score_table(cs: ChainStructure) -> list[int]:

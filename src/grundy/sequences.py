@@ -3,8 +3,13 @@
 Every solver in the package funnels its output back through these checkers,
 so they are written to re-derive everything from scratch: a sweep walks the
 sequence left to right with a dominated-vertex table and never patches
-results incrementally across edits. Cost is O(n + sum of degrees of the
-sequence vertices), cheap enough to run on every benchmark output. The
+results incrementally across edits. A step whose adjacency row is the very
+row object the last expanded step walked (twins share rows, as the chain
+generators build them) does not walk it again: domination never reverts,
+so that row is still all dominated, and the step is legal exactly when its
+own vertex is not. Cost is O(n + the degrees of the steps whose row
+differs from the last one walked), so a twin class played back to back
+costs one row walk; cheap enough to run on every benchmark output. The
 walk keeps no table of played vertices: a repeated vertex always has an
 empty footprint, because its first play dominated its closed neighborhood,
 so the empty footprint is where a duplicate is caught and named.
@@ -59,9 +64,11 @@ def _sweep(g: Graph, order: Sequence[int], collect: bool):
     Returns (footprints or None, covered_count, first_illegal_position).
     Raises on out-of-range or duplicate vertices; an empty footprint is
     reported through the third slot, not raised. Whichever of these comes
-    first in the order wins. A duplicate is named at its empty footprint
-    (see the module docstring). Footprints, when collected, are read back
-    from the step that first dominated each vertex.
+    first in the order wins. A duplicate is named at its empty footprint,
+    and a step whose row is the last row walked checks only its own vertex
+    (see the module docstring for both). Footprints, when collected, are
+    read back from the step that first dominated each vertex, and the
+    covered count from the same table.
     """
     n = g.n
     adj = g.adjacency
@@ -70,24 +77,26 @@ def _sweep(g: Graph, order: Sequence[int], collect: bool):
         stop = next(pos for pos, v in enumerate(order) if not 0 <= v < n)
     # dominated_at[u] is 1 + the position of the step that first dominated u
     dominated_at = [0] * n
-    covered = 0
+    walked = None
     for step, v in enumerate(islice(order, stop), 1):
-        fresh = 0
-        if not dominated_at[v]:
+        fresh = not dominated_at[v]
+        if fresh:
             dominated_at[v] = step
-            fresh = 1
-        for u in adj[v]:
-            if not dominated_at[u]:
-                dominated_at[u] = step
-                fresh += 1
+        row = adj[v]
+        if row is not walked:
+            walked = row
+            for u in row:
+                if not dominated_at[u]:
+                    dominated_at[u] = step
+                    fresh = True
         if not fresh:
             pos = step - 1
             if order.index(v) < pos:
                 raise DuplicateVertexError(v, pos)
-            return None, covered, pos
-        covered += fresh
+            return None, n - dominated_at.count(0), pos
     if stop < len(order):
         raise InputError(f"vertex {order[stop]} out of range for n={n}")
+    covered = n - dominated_at.count(0)
     if not collect:
         return None, covered, -1
     footprints: list[list[int]] = [[] for _ in range(stop)]

@@ -69,6 +69,23 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def shuffled(g: Graph, rng) -> Graph:
+    """Copy of g with its vertices renamed by a Fisher-Yates shuffle drawn
+    from rng (an XorShift64Star); every row is a fresh tuple."""
+    perm = list(range(g.n))
+    for i in range(g.n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def merge_equal_rows(g: Graph) -> Graph:
+    """Copy of g in which vertices with equal neighborhoods share one row
+    object, as chain_from_profile builds its twins."""
+    first: dict = {}
+    return Graph(g.n, tuple(first.setdefault(tuple(row), tuple(row)) for row in g.adjacency), g.edge_count)
+
+
 # The worked hypergraph used across the reduction tests: four vertices,
 # five edges, covering number witnesses small enough to check by hand.
 def sample_hypergraph() -> Hypergraph:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 import grundy.chain as chain_module
 from grundy import (
     Graph,
+    GrundyError,
     bipartition,
     IsolatedVertexError,
     NotChainGraphError,
+    check_closed_neighborhood_sequence,
     check_subset_ordering,
     complement,
     grundy_chain,
@@ -21,7 +24,14 @@ from grundy import (
     is_dominating_sequence,
     recognize_chain,
 )
-from grundy.generators import ChainProfile, chain_from_profile, random_chain_profile
+from grundy.generators import (
+    ChainProfile,
+    XorShift64Star,
+    chain_from_profile,
+    random_chain_profile,
+    random_graph,
+)
+from grundy.sequences import quick_verify
 from grundy.sweeps import _observation_identities_hold, exhaustive_profiles
 
 from .conftest import (
@@ -29,7 +39,9 @@ from .conftest import (
     chain_reference,
     complete_bipartite,
     cycle_graph,
+    merge_equal_rows,
     path_graph,
+    shuffled,
 )
 
 
@@ -188,11 +200,17 @@ class TestRecognitionAgainstReference:
             (4, [(0, 1), (2, 3)], "incomparable neighborhoods: vertices 0 and 2"),
             # P3 + K2: disconnected, so the split cannot be a 2-colouring
             (5, [(0, 1), (1, 2), (3, 4)], "incomparable neighborhoods: vertices 2 and 3"),
-            # P5: bipartite, but the rest of the split keeps the edge 3-4
+            # P5: bipartite, but N(w) = {1, 3} holds two different rows of one degree
             (5, [(0, 1), (1, 2), (2, 3), (3, 4)], "incomparable neighborhoods: vertices 0 and 4"),
-            # K3: the scan of the rest passes; the degree sum misses the edge 1-2
+            # K3, then C5: N(w) = {0, 2} holds two different rows of one degree
             (3, [(0, 1), (1, 2), (0, 2)], "not bipartite"),
             (5, [(i, (i + 1) % 5) for i in range(5)], "not bipartite"),
+            # K1,3 + K1,2: N(w) = {0} passes the scan, but misses vertices 4..6
+            (
+                7,
+                [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)],
+                "incomparable neighborhoods: vertices 4 and 0",
+            ),
         ],
     )
     def test_rejections_named_from_bfs_sides(self, bfs_calls, n, edges, message):
@@ -213,6 +231,35 @@ class TestRecognitionAgainstReference:
         flipped = (profile.sizes_y[::-1], profile.sizes_x[::-1])
         assert recovered in ((profile.sizes_x, profile.sizes_y), flipped)
         assert 0 in cs.x_order
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_candidate_sides_and_hub_classes(self, merged):
+        # N(w) is V minus N(hub), and the scan over it yields N(hub)'s
+        # degree runs, highest degree first; k = 1 and n1 = n2 included
+        profiles = list(exhaustive_profiles(max_k=3, max_part=2, max_vertices=10))
+        profiles += [random_chain_profile(18, seed) for seed in range(200)]
+        assert any(p.k == 1 for p in profiles)
+        assert any(sum(p.sizes_x) == sum(p.sizes_y) for p in profiles)
+        for seed, profile in enumerate(profiles):
+            g = relabelled(chain_from_profile(profile), seed)
+            if merged:
+                g = merge_equal_rows(g)
+            adj = g.adjacency
+            deg = list(map(len, adj))
+            hub_row = adj[deg.index(max(deg))]
+            rest = chain_module._rest_side(adj, deg)
+            assert tuple(rest) == tuple(sorted(set(range(g.n)) - set(hub_row)))
+            classes = chain_module._check_nested(adj, chain_module._degree_runs(rest, deg))
+            runs = chain_module._degree_runs(hub_row, deg)
+            assert list(map(tuple, classes)) == list(map(tuple, reversed(runs)))
+
+    def test_candidate_sides_can_miss_vertices(self):
+        # the graph of the K1,3 + K1,2 rejection above
+        g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)])
+        adj = g.adjacency
+        deg = list(map(len, adj))
+        rest = chain_module._rest_side(adj, deg)
+        assert set(rest) | set(adj[0]) != set(range(g.n))
 
     def test_chain_graphs_skip_the_bfs(self, bfs_calls):
         for profile in exhaustive_profiles(max_k=3, max_part=2, max_vertices=10):
@@ -347,3 +394,99 @@ class TestCochain:
         assert gamma == grundy_domination_exact(g).best_length
         assert is_dominating_sequence(g, seq.order)
         assert len(seq) == gamma
+
+
+def _digest_graphs(rng: XorShift64Star):
+    """2,000 seeded graphs: chain profiles, most renamed, with and without
+    shared rows, chain graphs with one edge dropped or added, and G(n, p) with
+    n <= 12, half of them cut down to a random bipartite subgraph; half of
+    the last two families have their equal rows merged."""
+    for seed in range(700):
+        g = chain_from_profile(random_chain_profile(18, seed))
+        if seed % 7:
+            g = shuffled(g, rng)
+            if seed % 2:
+                g = merge_equal_rows(g)
+        yield g
+    for seed in range(600):
+        profile = random_chain_profile(14, seed)
+        g = chain_from_profile(profile)
+        edges = list(g.edges())
+        if seed % 3 == 0:
+            del edges[rng.next_below(len(edges))]
+        else:
+            # a non-edge across the sides half the time, else within a side
+            n1 = sum(profile.sizes_x)
+            present = set(edges)
+            missing = [
+                (u, v)
+                for u, v in itertools.combinations(range(g.n), 2)
+                if (u, v) not in present and ((u < n1 <= v) == (seed % 3 == 1))
+            ]
+            if missing:
+                edges.append(missing[rng.next_below(len(missing))])
+        g = shuffled(Graph.from_edges(g.n, edges), rng)
+        yield merge_equal_rows(g) if seed % 2 else g
+    for seed in range(700):
+        g = random_graph(1 + seed % 12, rng.next_float(), seed)
+        if seed % 2:
+            # keep only the edges across a random 2-colouring
+            side = [rng.next_bit() for _ in range(g.n)]
+            g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges() if side[u] != side[v]])
+        yield merge_equal_rows(g) if seed % 4 > 1 else g
+
+
+def _digest_orders(g: Graph, rng: XorShift64Star, witness):
+    """Orders with twins played back to back, repeats and out-of-range
+    entries: the witness and its variants, a permutation prefix, a
+    twin-grouped prefix and an arbitrary list over -1..n."""
+    n = g.n
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    grouped = sorted(perm, key=lambda v: tuple(g.adjacency[v]))
+    orders = [perm[: rng.next_below(n + 1)], grouped[: rng.next_below(n + 1)]]
+    if witness is not None:
+        orders.append(list(witness))
+    for base in list(orders):
+        order = list(base)
+        for _ in range(1 + rng.next_below(2)):
+            extra = (-1, n, *order)[rng.next_below(len(order) + 2)]
+            order.insert(rng.next_below(len(order) + 1), extra)
+        orders.append(order)
+    orders.append([rng.next_below(n + 2) - 1 for _ in range(rng.next_below(n + 4))])
+    return orders
+
+
+def _outcome(call):
+    try:
+        return call()
+    except GrundyError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+def test_chain_layer_digest():
+    # pins recognition (parts, or error class, message and witness), the
+    # grundy_chain order, and every checker's footprints or error class and
+    # position over orders that play twins back to back
+    rng = XorShift64Star(2024)
+    digest = hashlib.sha256()
+    for g in _digest_graphs(rng):
+        try:
+            cs = recognize_chain(g)
+        except GrundyError as exc:
+            recognized = (type(exc).__name__, str(exc), getattr(exc, "witness", None))
+            witness = None
+        else:
+            witness = grundy_chain(cs).order
+            recognized = (cs.x_parts, cs.y_parts, witness)
+        digest.update(repr(recognized).encode())
+        for order in _digest_orders(g, rng, witness):
+            outcomes = (
+                _outcome(lambda: check_closed_neighborhood_sequence(g, order).footprints),
+                _outcome(lambda: is_dominating_sequence(g, order)),
+                _outcome(lambda: quick_verify(g, order)),
+            )
+            digest.update(repr((order, outcomes)).encode())
+    assert digest.hexdigest() == "551b4cd5d3b3b2756b76332045d3412a34e15b5ff9a7140bd48a5afb97e17478"

@@ -42,6 +42,7 @@ from .conftest import (
     first_longest_dominating,
     first_longest_sequence,
     path_graph,
+    shuffled,
 )
 
 
@@ -460,14 +461,6 @@ class TestPinnedSearch:
         )
 
 
-def _shuffled(g: Graph, rng: XorShift64Star) -> Graph:
-    perm = list(range(g.n))
-    for i in range(g.n - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _digest_family():
     """2,000 seeded exact calls: G(n, p), shuffled twin blow-ups, shuffled
     chain profiles, and cover and transversal on random hypergraphs."""
@@ -479,10 +472,10 @@ def _digest_family():
         base = random_graph(k, rng.next_float(), rng.next_below(10**6))
         sizes = [1 + rng.next_below(3) for _ in range(k)]
         closed = [bool(rng.next_bit()) for _ in range(k)]
-        yield grundy_domination_exact, _shuffled(_blow_up(base, sizes, closed), rng)
+        yield grundy_domination_exact, shuffled(_blow_up(base, sizes, closed), rng)
     for seed in range(400):
         profile = random_chain_profile(18, seed)
-        yield grundy_domination_exact, _shuffled(chain_from_profile(profile), rng)
+        yield grundy_domination_exact, shuffled(chain_from_profile(profile), rng)
     for seed in range(300):
         h = random_hypergraph(2 + seed % 9, 2 + rng.next_below(9), seed)
         yield grundy_cover_exact, h

@@ -11,10 +11,17 @@ from grundy import (
     is_dominating_sequence,
     parse_sequence,
 )
-from grundy.generators import random_graph
+from grundy.generators import ChainProfile, chain_from_profile, random_chain_profile, random_graph
 from grundy.sequences import quick_verify
 
-from .conftest import all_legal_sequences, complete_graph, path_graph, star_graph, walk_oracle
+from .conftest import (
+    all_legal_sequences,
+    complete_graph,
+    merge_equal_rows,
+    path_graph,
+    star_graph,
+    walk_oracle,
+)
 
 
 class TestChecker:
@@ -126,15 +133,30 @@ class TestProperties:
             assert dominating == is_dominating_sequence(g, order)
 
 
+def shared_row_graphs(max_n=8):
+    """Graphs whose twins share one row object: chain profiles, and seeded
+    graphs with equal rows merged."""
+    return st.one_of(
+        st.integers(min_value=0, max_value=10**6).map(
+            lambda seed: chain_from_profile(random_chain_profile(max_n, seed))
+        ),
+        seeded_graphs(max_n).map(merge_equal_rows),
+    )
+
+
 @st.composite
 def graphs_with_orders(draw):
-    """A graph and a vertex order: a prefix of a permutation with up to two
-    insertions of -1, n or a repeat, or an arbitrary list over -1..n."""
-    g = draw(seeded_graphs(max_n=8))
+    """A graph and a vertex order: a prefix of a permutation, or of one with
+    twins back to back, with up to two insertions of -1, n or a repeat, or
+    an arbitrary list over -1..n."""
+    g = draw(st.one_of(seeded_graphs(max_n=8), shared_row_graphs(max_n=8)))
     n = g.n
     if draw(st.booleans()):
         return g, draw(st.lists(st.integers(min_value=-1, max_value=n), max_size=n + 3))
-    order = draw(st.permutations(range(n)))[: draw(st.integers(min_value=0, max_value=n))]
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        order.sort(key=lambda v: tuple(g.adjacency[v]))
+    order = order[: draw(st.integers(min_value=0, max_value=n))]
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         extra = draw(st.sampled_from([-1, n, *order]))
         order.insert(draw(st.integers(min_value=0, max_value=len(order))), extra)
@@ -149,31 +171,58 @@ def raised(call):
     return None
 
 
+def assert_matches_walk_oracle(g, order):
+    kind, where = walk_oracle(g, order)
+    if kind == "ok":
+        seq = check_closed_neighborhood_sequence(g, order)
+        assert seq.footprints == where
+        dominating = seq.covered() == g.n
+        assert is_dominating_sequence(g, order) == dominating
+        assert quick_verify(g, order) == (True, dominating)
+        return
+    if kind == "IllegalStepError":
+        assert quick_verify(g, order) == (False, False)
+        calls = (check_closed_neighborhood_sequence, is_dominating_sequence)
+    else:
+        calls = (check_closed_neighborhood_sequence, is_dominating_sequence, quick_verify)
+    for entry in calls:
+        exc = raised(lambda: entry(g, order))
+        assert type(exc).__name__ == kind
+        if kind == "InputError":
+            assert str(exc) == f"vertex {order[where]} out of range for n={g.n}"
+        else:
+            assert (exc.position, exc.vertex) == (where, order[where])
+
+
+# X_1 = {0}, X_2 = {1}, Y_1 = {2, 3}, Y_2 = {4}; the twins 2 and 3 share
+# the row (0, 1), so the walk expands it once for both
+TWINS = chain_from_profile(ChainProfile((1, 1), (2, 1)))
+
+
 class TestWalkAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_orders())
     def test_entry_points_match_set_walk(self, case):
-        g, order = case
-        kind, where = walk_oracle(g, order)
-        if kind == "ok":
-            seq = check_closed_neighborhood_sequence(g, order)
-            assert seq.footprints == where
-            dominating = seq.covered() == g.n
-            assert is_dominating_sequence(g, order) == dominating
-            assert quick_verify(g, order) == (True, dominating)
-            return
-        if kind == "IllegalStepError":
-            assert quick_verify(g, order) == (False, False)
-            calls = (check_closed_neighborhood_sequence, is_dominating_sequence)
-        else:
-            calls = (check_closed_neighborhood_sequence, is_dominating_sequence, quick_verify)
-        for entry in calls:
-            exc = raised(lambda: entry(g, order))
-            assert type(exc).__name__ == kind
-            if kind == "InputError":
-                assert str(exc) == f"vertex {order[where]} out of range for n={g.n}"
-            else:
-                assert (exc.position, exc.vertex) == (where, order[where])
+        assert_matches_walk_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "order,kind,where",
+        [
+            # an immediate repeat: the second 2 skips the row and is dominated
+            ([2, 2], "DuplicateVertexError", 1),
+            # 0 dominates the class {2, 3}; after 2, its twin 3 adds nothing
+            ([0, 2, 3], "IllegalStepError", 2),
+            # a whole twin class played back to back is legal
+            ([2, 3, 4], "ok", ((0, 1, 2), (3,), (4,))),
+            # an out-of-range entry right after a twin run
+            ([2, 3, 5], "InputError", 2),
+            ([0, 2, 3, 5], "IllegalStepError", 2),
+        ],
+    )
+    def test_twins_back_to_back(self, order, kind, where):
+        assert TWINS.adjacency[2] is TWINS.adjacency[3]
+        assert walk_oracle(TWINS, order) == (kind, where)
+        assert_matches_walk_oracle(TWINS, order)
 
 
 class TestRederivation:
