@@ -38,7 +38,6 @@ from .sequences import (
     VertexSequence,
     check_closed_neighborhood_sequence,
     check_subset_ordering,
-    format_sequence,
     is_dominating_sequence,
     parse_sequence,
 )
@@ -63,7 +62,6 @@ from .reductions import (
     format_roles,
     graph_to_cobipartite,
     hypergraph_to_bipartite,
-    project_gadget_witness,
 )
 from .generators import (
     ChainProfile,

@@ -231,8 +231,12 @@ def recognize_chain(g: Graph) -> ChainStructure:
 def _score_table(cs: ChainStructure) -> list[int]:
     """Candidate sequence lengths indexed 0..k; the maximum is the answer.
 
-    Only meaningful for k >= 2: the boundary entries assume a class beyond
-    the one they bonus, so k = 1 is short-circuited by the callers.
+    Only meaningful for k >= 2: entry 0's bonus for |Y_1| = 1 assumes a
+    class Y_2 beyond it, so k = 1 is short-circuited by the callers. Entry
+    k takes no mirror bonus for |X_k| = 1: it would make entry k equal to
+    entry k - 1 (both n1 + |Y_k|), and grundy_chain emits the first
+    maximizing entry, so the bonus could change neither the value nor the
+    witness.
     """
     k = cs.k
     assert k >= 2
@@ -247,7 +251,7 @@ def _score_table(cs: ChainStructure) -> list[int]:
         pref_x += x_sizes[i - 1]
         pref_y += y_sizes[i - 1]
         sums[i] = pref_x + n2 - pref_y + 1
-    sums[k] = n1 + y_sizes[k - 1] if x_sizes[k - 1] == 1 else n1
+    sums[k] = n1
     return sums
 
 
@@ -259,7 +263,11 @@ def grundy_number_chain(cs: ChainStructure) -> int:
 
 
 def _order_for_index(cs: ChainStructure, istar: int) -> list[int]:
-    """The class concatenation realizing score-table entry istar (k >= 2)."""
+    """The class concatenation realizing score-table entry istar (k >= 2).
+
+    Entry k is the whole X side in chain order, whatever |X_k| is, since
+    the table gives that entry no bonus (see _score_table).
+    """
     x_parts, y_parts, k = cs.x_parts, cs.y_parts, cs.k
     order: list[int] = []
     if istar == 0 and len(y_parts[0]) > 1:
@@ -267,28 +275,13 @@ def _order_for_index(cs: ChainStructure, istar: int) -> list[int]:
             order.extend(y_parts[j])
     elif istar == 0:
         order.extend(x_parts[0])
-        if k >= 3:
-            for j in range(k - 1, 1, -1):
-                order.extend(y_parts[j])
-            order.extend(y_parts[0])
-            order.extend(y_parts[1])
-        else:
-            order.extend(y_parts[0])
-            order.extend(y_parts[1])
-    elif istar == k and len(x_parts[k - 1]) > 1:
+        for j in range(k - 1, 1, -1):
+            order.extend(y_parts[j])
+        order.extend(y_parts[0])
+        order.extend(y_parts[1])
+    elif istar == k:
         for part in x_parts:
             order.extend(part)
-    elif istar == k:
-        if k >= 3:
-            for j in range(k - 2):
-                order.extend(x_parts[j])
-            order.extend(y_parts[k - 1])
-            order.extend(x_parts[k - 1])
-            order.extend(x_parts[k - 2])
-        else:
-            order.extend(y_parts[1])
-            order.extend(x_parts[1])
-            order.extend(x_parts[0])
     else:
         pivot = x_parts[istar][0]
         for j in range(istar - 1):
@@ -330,17 +323,13 @@ def grundy_chain(cs: ChainStructure) -> VertexSequence:
 def independence_number_chain(cs: ChainStructure) -> int:
     """Independence number from the twin partition.
 
-    A maximum independent set is one whole side or a prefix of X classes
-    joined with the complementary suffix of Y classes.
+    A maximum independent set is one whole side or, for 0 < i < k, the
+    classes X_1..X_i joined with Y_i+1..Y_k: score-table entry i less its
+    one extra vertex.
     """
-    best = max(cs.n1, cs.n2)
-    pref_x = 0
-    pref_y = 0
-    for i in range(1, cs.k):
-        pref_x += len(cs.x_parts[i - 1])
-        pref_y += len(cs.y_parts[i - 1])
-        best = max(best, pref_x + cs.n2 - pref_y)
-    return best
+    if cs.k == 1:
+        return max(cs.n1, cs.n2)
+    return max(cs.n1, cs.n2, max(_score_table(cs)[1:-1]) - 1)
 
 
 def grundy_cochain(g: Graph) -> tuple[int, VertexSequence]:

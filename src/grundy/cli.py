@@ -35,7 +35,7 @@ from .generators import (
     random_hypergraph,
 )
 from .graph import MAX_FILE_VERTICES, load_graph, read_text, save_graph
-from .hypergraph import load_hypergraph, save_hypergraph
+from .hypergraph import MAX_RANDOM_HYPERGRAPH_SIZE, load_hypergraph, save_hypergraph
 from .reductions import format_roles, graph_to_cobipartite, hypergraph_to_bipartite
 from .sequences import check_closed_neighborhood_sequence, parse_sequence
 
@@ -54,56 +54,61 @@ def _print_report(pairs) -> None:
 # ---- solve -----------------------------------------------------------------
 
 
-def _solve_auto(g, budget):
-    try:
-        cs = recognize_chain(g)
-        return "chain", grundy_chain(cs), cs, None
-    except (NotChainGraphError, IsolatedVertexError):
-        pass
-    try:
-        gamma, seq = grundy_cochain(g)
-        return "cochain", seq, None, gamma
-    except (NotChainGraphError, IsolatedVertexError):
-        pass
-    if g.n > HARD_CAP:
-        raise SizeCapError(
-            g.n,
-            HARD_CAP,
-            what="vertices (not a chain or co-chain graph, and too large for "
-            "the exact solver; supported classes: chain, co-chain, or any "
-            f"graph with at most {HARD_CAP} vertices)",
-        )
+def _chain(g, budget):
+    cs = recognize_chain(g)
+    return grundy_chain(cs), cs, []
+
+
+def _cochain(g, budget):
+    gamma, seq = grundy_cochain(g)
+    return seq, None, [("cochain_classes", gamma - 1)]
+
+
+def _exact(g, budget):
     result = grundy_domination_exact(g, node_budget=budget)
-    return "exact", result.best_sequence, None, result.nodes_explored
+    return result.best_sequence, None, [("nodes", result.nodes_explored)]
+
+
+# --method: each solver returns the witness, the chain structure or None,
+# and its report pairs. Auto mode takes the first whose class holds the
+# graph, in this order; the exact solver takes any graph within its cap.
+SOLVERS = {"chain": _chain, "cochain": _cochain, "exact": _exact}
+
+
+def _solve(g, method: str, budget):
+    if method != "auto":
+        try:
+            return method, *SOLVERS[method](g, budget)
+        except IsolatedVertexError as exc:
+            if method != "chain":
+                raise
+            raise InputError(f"{exc}; the chain solver requires none, use --method exact") from exc
+    for name, solve in SOLVERS.items():
+        if name == "exact" and g.n > HARD_CAP:
+            raise SizeCapError(
+                g.n,
+                HARD_CAP,
+                what="vertices (not a chain or co-chain graph, and too large for "
+                "the exact solver; supported classes: chain, co-chain, or any "
+                f"graph with at most {HARD_CAP} vertices)",
+            )
+        try:
+            return name, *solve(g, budget)
+        except (NotChainGraphError, IsolatedVertexError):
+            pass
 
 
 def cmd_solve(args) -> int:
     g = load_graph(args.path)
     report = [("command", "solve"), ("n", g.n), ("m", g.edge_count)]
     start = time.perf_counter()
-    cs = None
-    extra = None
-    if args.method == "auto":
-        method, seq, cs, extra = _solve_auto(g, args.budget)
-    elif args.method == "chain":
-        try:
-            cs = recognize_chain(g)
-        except IsolatedVertexError as exc:
-            raise InputError(
-                f"{exc}; the chain solver requires none, use --method exact"
-            ) from exc
-        method, seq = "chain", grundy_chain(cs)
-    elif args.method == "cochain":
-        gamma, seq = grundy_cochain(g)
-        method, extra = "cochain", gamma
-    else:
-        result = grundy_domination_exact(g, node_budget=args.budget)
-        method, seq, extra = "exact", result.best_sequence, result.nodes_explored
+    method, seq, cs, details = _solve(g, args.method, args.budget)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     report.append(("method", method))
     report.append(("gamma_gr", len(seq.order)))
     report.append(("witness", " ".join(str(v) for v in seq.order)))
+    report += details
     partition_line = None
     if cs is not None:
         x_sizes = ",".join(str(len(p)) for p in cs.x_parts)
@@ -114,10 +119,6 @@ def cmd_solve(args) -> int:
             report.append(("y_sizes", y_sizes))
         else:
             partition_line = f"k={cs.k} |X_i|={x_sizes} |Y_i|={y_sizes}"
-    elif method == "cochain":
-        report.append(("cochain_classes", len(seq.order) - 1))
-    elif method == "exact" and extra is not None:
-        report.append(("nodes", extra))
     report.append(("time_ms", f"{elapsed_ms:.3f}"))
     _print_report(report)
     if partition_line:
@@ -186,9 +187,6 @@ def cmd_reduce(args) -> int:
 
 # random_graph draws once per vertex pair: about 8.4 million draws here
 MAX_RANDOM_GRAPH_VERTICES = 1 << 12
-# random_hypergraph draws once per (vertex, edge) pair: at most about
-# 4.2 million draws with both --n and --m at this cap
-MAX_RANDOM_HYPERGRAPH_SIZE = 1 << 11
 
 
 def cmd_gen(args) -> int:

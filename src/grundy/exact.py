@@ -28,7 +28,9 @@ move's residual), that is, the child with the most uncovered bits first,
 ties by move index. Once the best length so far reaches 1 + the bit
 count of the next child, neither that child nor any later one, which has
 no more bits, can beat it, and the loop ends; it ends too once the best
-reaches the set's own ceiling. Either way the value stored is exact.
+equals the number of live moves. The bit count needs no test of its
+own: once the best reaches it, every child has fewer bits, so the first
+test ends the loop. Either way the value stored is exact.
 
 Why the component split is sound: call two uncovered bits linked when
 one move's mask holds both, and split the uncovered set into the
@@ -54,9 +56,10 @@ the other's, so the two moves have children of equal value. The graph
 search therefore offers, per class, only its lowest uncovered and its
 lowest covered member. That is exact on any uncovered set, so the
 witness reconstruction asks value() about the real children it walks.
-The ceiling min(uncovered bits, live moves) needs no count of the moves
-skipped: every uncovered vertex's own move is live, so the ceiling is
-the number of uncovered bits.
+It offers fewer moves than are live, so it keeps only the bit-count
+bound, which needs no count of the moves skipped: every uncovered
+vertex's own move is live, so min(uncovered bits, live moves) is the
+bit count.
 
 The cover and transversal searches take no classes and try every move.
 """
@@ -106,34 +109,30 @@ class SearchResult:
 # ---- twin classes ----------------------------------------------------------
 
 
-def _merge_signature_groups(signatures: list[dict]) -> list[tuple[int, ...]]:
-    """The groups with at least two members, each sorted ascending, ordered
-    by their lowest member.
-
-    The groups of one signature family partition the vertices, and a group
-    of size >= 2 from one family never shares a vertex with a group of
-    size >= 2 from another, so plain concatenation needs no merging. For
-    graphs, suppose u, v are open twins and u, w are closed twins. Closed
-    twins are adjacent, so w is in N(u) = N(v), hence v is in N[w] = N[u];
-    as v != u, v is in N(u) = N(v), but no vertex is its own neighbor.
-    """
-    return sorted(
-        tuple(sorted(members))
-        for groups in signatures
-        for members in groups.values()
-        if len(members) > 1
-    )
-
-
 def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """Classes of pairwise-interchangeable vertices (open or closed twins)."""
+    """Classes of pairwise-interchangeable vertices (open or closed twins)
+    with at least two members, each sorted ascending, ordered by their
+    lowest member.
+
+    The open groups partition the vertices, and so do the closed ones, and
+    a group of size >= 2 of one kind never shares a vertex with one of the
+    other, so plain concatenation needs no merging. Suppose u, v are open
+    twins and u, w are closed twins. Closed twins are adjacent, so w is in
+    N(u) = N(v), hence v is in N[w] = N[u]; as v != u, v is in N(u) = N(v),
+    but no vertex is its own neighbor.
+    """
     open_groups: dict[tuple[int, ...], list[int]] = {}
     closed_groups: dict[tuple[int, ...], list[int]] = {}
     for v in range(g.n):
         row = tuple(g.adjacency[v])
         open_groups.setdefault(row, []).append(v)
         closed_groups.setdefault(tuple(sorted(row + (v,))), []).append(v)
-    return _merge_signature_groups([open_groups, closed_groups])
+    return sorted(
+        tuple(sorted(members))
+        for groups in (open_groups, closed_groups)
+        for members in groups.values()
+        if len(members) > 1
+    )
 
 
 # ---- core search -----------------------------------------------------------
@@ -218,10 +217,9 @@ def _longest_sequence(
             residual = mask & free
             if residual:
                 candidates.append((residual.bit_count(), i, free ^ residual))
-        ceiling = free.bit_count()
+        # the live moves, a bound only where every one is a candidate
+        live = None if groups else len(candidates)
         if groups:
-            # every uncovered vertex's own move is live, so the ceiling
-            # min(uncovered bits, live moves) is the bit count
             for class_mask in groups:
                 inside = free & class_mask
                 if inside:
@@ -234,12 +232,10 @@ def _longest_sequence(
                     residual = masks[i] & free
                     if residual:
                         candidates.append((residual.bit_count(), i, free ^ residual))
-        elif len(candidates) < ceiling:
-            ceiling = len(candidates)
         candidates.sort()
         best = 0
         for _, _, child in candidates:
-            if best > child.bit_count() or best == ceiling:
+            if best > child.bit_count() or best == live:
                 break
             v = memo.get(child)
             if v is None:
@@ -354,12 +350,6 @@ def independence_number_exact(g: Graph) -> int:
     return best((1 << g.n) - 1)
 
 
-def max_sequence_length(masks: Sequence[int], full: int) -> int:
-    """Value-only entry point for sweeps that do not need a witness."""
-    length, _, _ = _longest_sequence(masks, full, want_witness=False)
-    return length
-
-
 def rho_tau_values(h: Hypergraph) -> tuple[int, int]:
     """Covering and transversal numbers without witnesses, for bulk sweeps.
 
@@ -367,6 +357,6 @@ def rho_tau_values(h: Hypergraph) -> tuple[int, int]:
     masks over vertices, vertex masks over edges); their equality is a
     theorem, not an artifact of shared code paths.
     """
-    rho = max_sequence_length(h.edge_masks, (1 << h.n) - 1)
-    tau = max_sequence_length(h.vertex_masks, (1 << h.m) - 1)
+    rho, _, _ = _longest_sequence(h.edge_masks, (1 << h.n) - 1, want_witness=False)
+    tau, _, _ = _longest_sequence(h.vertex_masks, (1 << h.m) - 1, want_witness=False)
     return rho, tau

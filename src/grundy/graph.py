@@ -7,7 +7,6 @@ and safe to share across concurrent solver runs.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -70,13 +69,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range for n={self.n}")
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -163,7 +155,7 @@ def complement(g: Graph) -> Graph:
 # are ignored. Hypergraph files share this layout, sequence files the
 # comment rule.
 
-MAX_FILE_VERTICES = 1 << 22  # largest n a file header may declare
+MAX_FILE_VERTICES = 1 << 22  # largest n a graph file header may declare
 
 
 def _data_lines(text: str) -> list[str]:
@@ -175,11 +167,13 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_counted(text: str, what: str, build, pairs: bool = False):
+def _parse_counted(
+    text: str, what: str, build, pairs: bool = False, caps=(MAX_FILE_VERTICES, None)
+):
     """Parse an 'n m' header and the m lines of integers after it, and hand
-    them to build(n, rows). n is checked against MAX_FILE_VERTICES before
-    build can allocate anything n-sized; build's InputErrors become
-    FormatErrors."""
+    them to build(n, rows). n and m are checked against caps (None: no
+    cap) before any edge line is parsed or build can allocate anything
+    sized by them; build's InputErrors become FormatErrors."""
     lines = _data_lines(text)
     if not lines:
         raise FormatError(f"empty {what} file")
@@ -189,8 +183,9 @@ def _parse_counted(text: str, what: str, build, pairs: bool = False):
         raise FormatError(f"expected header 'n m' of two integers, got {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise FormatError(f"negative counts in header {lines[0]!r}")
-    if n > MAX_FILE_VERTICES:
-        raise SizeCapError(n, MAX_FILE_VERTICES, what="vertices in the file header")
+    for count, cap, noun in zip((n, m), caps, ("vertices", "edges")):
+        if cap is not None and count > cap:
+            raise SizeCapError(count, cap, what=f"{noun} in the file header")
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} edges, file has {len(lines) - 1}")
     rows = []

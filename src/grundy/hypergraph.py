@@ -12,6 +12,12 @@ from typing import Iterable, Sequence
 from .errors import InputError
 from .graph import _parse_counted, read_text
 
+# Most vertices, and most edges, of a hypergraph file or of `gen
+# hypergraph`: random_hypergraph draws once per (vertex, edge) pair, at
+# most about 4.2 million draws at this cap, and the bipartite gadget takes
+# at most 1,024 of either
+MAX_RANDOM_HYPERGRAPH_SIZE = 1 << 11
+
 __all__ = [
     "Hypergraph",
     "is_edge_cover",
@@ -63,16 +69,8 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def covered_vertices(self) -> int:
-        """Bitmask of vertices that appear in at least one edge."""
-        mask = 0
-        for em in self.edge_masks:
-            mask |= em
-        return mask
-
     def isolated_vertices(self) -> list[int]:
-        covered = self.covered_vertices()
-        return [v for v in range(self.n) if not covered >> v & 1]
+        return [v for v, mask in enumerate(self.vertex_masks) if not mask]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -136,7 +134,8 @@ def is_legal_transversal_sequence(h: Hypergraph, seq: Sequence[int]) -> bool:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    return _parse_counted(text, "hypergraph", Hypergraph)
+    cap = MAX_RANDOM_HYPERGRAPH_SIZE
+    return _parse_counted(text, "hypergraph", Hypergraph, caps=(cap, cap))
 
 
 def format_hypergraph(h: Hypergraph) -> str:

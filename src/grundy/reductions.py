@@ -12,13 +12,11 @@ from dataclasses import dataclass
 from .errors import InputError, IsolatedVertexError, SizeCapError
 from .graph import Graph
 from .hypergraph import Hypergraph
-from .sequences import VertexSequence
 
 __all__ = [
     "ReductionMap",
     "hypergraph_to_bipartite",
     "graph_to_cobipartite",
-    "project_gadget_witness",
     "format_roles",
 ]
 
@@ -107,25 +105,6 @@ def graph_to_cobipartite(g: Graph) -> ReductionMap:
             edges.append((i, n + j))
     roles = tuple(("V1", i) for i in range(n)) + tuple(("V2", i) for i in range(n))
     return ReductionMap(Graph.from_edges(2 * n, edges), roles)
-
-
-def project_gadget_witness(
-    rmap: ReductionMap, seq: VertexSequence | list[int]
-) -> dict[str, list[int]]:
-    """Project a gadget dominating sequence back onto source indices.
-
-    For the bipartite gadget this recovers the E' subsequence as source
-    edge indices and the X' subsequence as source vertices (a transversal
-    candidate). Purely diagnostic: raw solver sequences are not normalized
-    the way the equivalence proof's sequences are, so no legality of the
-    projection is promised.
-    """
-    order = seq.order if isinstance(seq, VertexSequence) else seq
-    out: dict[str, list[int]] = {}
-    for v in order:
-        tag, src = rmap.roles[v]
-        out.setdefault(tag, []).append(src)
-    return out
 
 
 def format_roles(rmap: ReductionMap) -> str:

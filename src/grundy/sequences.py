@@ -29,7 +29,6 @@ __all__ = [
     "is_dominating_sequence",
     "check_subset_ordering",
     "parse_sequence",
-    "format_sequence",
 ]
 
 
@@ -53,9 +52,6 @@ class VertexSequence:
         if self.footprints is None:
             raise ValueError("footprints not materialized")
         return sum(len(fp) for fp in self.footprints)
-
-    def dominates(self, g: Graph) -> bool:
-        return self.covered() == g.n
 
 
 def _sweep(g: Graph, order: Sequence[int], collect: bool):
@@ -165,7 +161,3 @@ def parse_sequence(text: str) -> list[int]:
         return [int(tok) for tok in lines[0].split()]
     except ValueError as exc:
         raise FormatError(f"non-integer vertex in {lines[0]!r}") from exc
-
-
-def format_sequence(order: Sequence[int]) -> str:
-    return " ".join(str(v) for v in order) + "\n"

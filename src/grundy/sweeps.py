@@ -182,7 +182,7 @@ def _chain_case(task):
         cs = recognize_chain(g)
         lines = []
         recovered = tuple(len(p) for p in cs.x_parts), tuple(len(p) for p in cs.y_parts)
-        if recovered not in ((sizes_x, sizes_y), (sizes_y, sizes_x)) or not _observation_identities_hold(cs):
+        if recovered != (sizes_x, sizes_y) or not _observation_identities_hold(cs):
             lines.append(f"structure: {label}")
 
         seq = grundy_chain(cs)

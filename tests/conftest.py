@@ -164,7 +164,7 @@ def brute_alpha(g: Graph) -> int:
         chosen = [v for v in vertices if bits >> v & 1]
         if len(chosen) <= best:
             continue
-        if all(not g.has_edge(u, v) for u, v in itertools.combinations(chosen, 2)):
+        if all(v not in g.neighbors(u) for u, v in itertools.combinations(chosen, 2)):
             best = len(chosen)
     return best
 

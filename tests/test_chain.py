@@ -281,6 +281,15 @@ class TestGrundyChain:
         assert len(grundy_chain(cs)) == max(a, b)
         assert grundy_number_chain(cs) == max(a, b)
 
+    def test_number_matches_the_sequence_and_the_search(self):
+        ks = set()
+        for profile in exhaustive_profiles(max_k=3, max_part=2, max_vertices=10):
+            g = chain_from_profile(profile)
+            cs = recognize_chain(g)
+            ks.add(cs.k)
+            assert grundy_number_chain(cs) == len(grundy_chain(cs)) == grundy_domination_exact(g).best_length
+        assert ks == {1, 2, 3}
+
     def test_star_is_not_overcounted(self):
         # k = 1 with a singleton side; the score-table shortcut must not fire
         g = complete_bipartite(1, 4)
@@ -327,9 +336,10 @@ class TestEveryTableBranch:
         """Each score-table entry's emission must be a legal dominating
         sequence of exactly the entry's value and never beat the optimum.
 
-        This exercises the two |X_k| = 1 boundary branches directly: they
-        are unreachable through grundy_chain's smallest-index tie break,
-        because |X_k| = 1 forces sum[k] == sum[k-1].
+        boundary_hits counts entry k with |X_k| = 1, which grundy_chain
+        never emits: with no bonus there, sum[k] = n1 falls below
+        sum[k-1] = n1 + |Y_k|. Its order, the whole X side, is still
+        checked here like every other entry's.
         """
         from grundy.chain import _order_for_index, _score_table
         from grundy.sequences import quick_verify

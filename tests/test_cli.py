@@ -5,9 +5,9 @@ import pytest
 from grundy import bench as bench_mod
 from grundy import cli, sweeps
 from grundy.cli import main
-from grundy import Graph, Hypergraph, format_graph, load_graph
+from grundy import ChainProfile, Graph, Hypergraph, chain_from_profile, complement, format_graph, load_graph
 
-from .conftest import complete_graph, path_graph
+from .conftest import address_space_cap, complete_bipartite, complete_graph, path_graph
 
 
 def run(capsys, *argv):
@@ -151,6 +151,74 @@ class TestSolve:
         assert err.startswith("usage: grundy solve")
         assert "expected a positive integer" in err
         assert "Traceback" not in err
+
+
+SOLVE_GRAPHS = {
+    "p4": P4_CHAIN,
+    "chain_k3": chain_from_profile(ChainProfile((2, 1, 3), (1, 2, 1))),
+    "co_k23": complement(complete_bipartite(2, 3)),
+    "k5": complete_graph(5),
+    "edge_and_isolated": Graph.from_edges(3, [(0, 1)]),
+}
+
+
+class TestSolveStdout:
+    """The whole stdout of each solver that succeeds, minus time_ms."""
+
+    @pytest.mark.parametrize(
+        "name, options, expected",
+        [
+            ("p4", ["--method", "chain"], "method=chain\ngamma_gr=3\nwitness=0 2 3\nk=2 |X_i|=1,1 |Y_i|=1,1\n"),
+            (
+                "chain_k3",
+                ["--method", "chain", "--machine"],
+                "method=chain\ngamma_gr=6\nwitness=0 1 9 6 7 8\nk=3\nx_sizes=2,1,3\ny_sizes=1,2,1\n",
+            ),
+            ("chain_k3", [], "method=chain\ngamma_gr=6\nwitness=0 1 9 6 7 8\nk=3 |X_i|=2,1,3 |Y_i|=1,2,1\n"),
+            ("p4", ["--method", "cochain"], "method=cochain\ngamma_gr=3\nwitness=0 2 3\ncochain_classes=2\n"),
+            ("co_k23", ["--method", "cochain", "--machine"], "method=cochain\ngamma_gr=2\nwitness=0 2\ncochain_classes=1\n"),
+            ("co_k23", [], "method=cochain\ngamma_gr=2\nwitness=0 2\ncochain_classes=1\n"),
+            ("chain_k3", ["--method", "exact"], "method=exact\ngamma_gr=6\nwitness=3 0 1 2 4 5\nnodes=16\n"),
+            ("k5", ["--machine"], "method=exact\ngamma_gr=1\nwitness=0\nnodes=1\n"),
+            # auto mode moves past the isolated vertex to the co-chain solver
+            ("edge_and_isolated", [], "method=cochain\ngamma_gr=2\nwitness=0 2\ncochain_classes=1\n"),
+        ],
+    )
+    def test_stdout(self, tmp_path, capsys, name, options, expected):
+        g = SOLVE_GRAPHS[name]
+        code, out, err = run(capsys, "solve", write_graph(tmp_path, g), *options)
+        assert (code, err) == (0, "")
+        lines = out.splitlines(keepends=True)
+        assert sum(line.startswith("time_ms=") for line in lines) == 1
+        head = f"command=solve\nn={g.n}\nm={g.edge_count}\n"
+        assert "".join(line for line in lines if not line.startswith("time_ms=")) == head + expected
+
+    @pytest.mark.parametrize(
+        "name, method, code, err",
+        [
+            (
+                "edge_and_isolated",
+                "chain",
+                2,
+                "error: isolated vertex 2 (chain recognition requires none); "
+                "the chain solver requires none, use --method exact\n",
+            ),
+            ("k5", "cochain", 2, "error: isolated vertex 0 (chain recognition requires none)\n"),
+            ("k5", "chain", 5, "error: not bipartite\n"),
+            ("chain_k3", "cochain", 5, "error: too few edges for a co-chain graph\n"),
+        ],
+    )
+    def test_refusals(self, tmp_path, capsys, name, method, code, err):
+        path = write_graph(tmp_path, SOLVE_GRAPHS[name])
+        assert run(capsys, "solve", path, "--method", method) == (code, "", err)
+
+    def test_chain_verification_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        from grundy import chain
+
+        monkeypatch.setattr(chain, "quick_verify", lambda g, order: (False, False))
+        code, out, err = run(capsys, "solve", write_graph(tmp_path, P4_CHAIN), "--method", "chain")
+        assert (code, out) == (4, "")
+        assert err == "internal verification failure: chain sequence claimed length 3 but re-verification disagrees\n"
 
 
 class TestVerify:
@@ -338,6 +406,14 @@ class TestBench:
         assert int(n) == 64
         float(t)
 
+    @pytest.mark.parametrize("machine, ratios", [(False, "ratios=2.25\n"), (True, "")])
+    def test_ratios_line_in_human_mode(self, capsys, monkeypatch, machine, ratios):
+        rows = [bench_mod.BenchRow(64, 1.0, (1.0, 2.0), 63), bench_mod.BenchRow(128, 2.5, (2.0, 5.0), 127)]
+        monkeypatch.setattr(bench_mod, "run_bench", lambda sizes, repeats, shape: rows)
+        code, out, _ = run(capsys, "bench", "--sizes", "64,128", *(["--machine"] if machine else []))
+        assert code == 0
+        assert out == "64,1.000\n128,2.500\n" + ratios
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -418,7 +494,8 @@ class TestNotUtf8:
 
 @pytest.mark.usefixtures("memory_limit")
 class TestHeaderCap:
-    """A header n above a cap exits 3 before anything n-sized is built."""
+    """A header count above a cap exits 3 before anything sized by it is
+    built."""
 
     def test_graph_file(self, tmp_path, capsys):
         path = tmp_path / "g.graph"
@@ -444,7 +521,27 @@ class TestHeaderCap:
         out_path = tmp_path / "out.graph"
         code, _, err = run(capsys, "reduce", str(path), "--to", "bipartite", "--out", str(out_path))
         assert code == 3
-        assert "exceeds the cap of 4194304" in err
+        assert "exceeds the cap of 2048" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            # two edges at the top of a wide ground set
+            ("4194304 2\n4194303\n4194302\n", "4194304 vertices"),
+            # 1,600 edges that would each hold a 512 KB mask
+            ("4194304 1600\n" + "4194303\n" * 1600, "4194304 vertices"),
+            ("4 2049\n" + "0 1\n" * 2049, "2049 edges"),
+        ],
+    )
+    def test_hypergraph_header_counts(self, tmp_path, capsys, text, what):
+        path = tmp_path / "h.hg"
+        path.write_text(text)
+        out_path = tmp_path / "out.graph"
+        with address_space_cap(128 << 20):
+            code, out, err = run(capsys, "reduce", str(path), "--to", "bipartite", "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {what} in the file header exceeds the cap of 2048\n"
         assert not out_path.exists()
 
 
@@ -516,6 +613,17 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert f"{argv[2]} ({argv[0]} sweep {argv[1][2:].replace('-', '_')}) exceeds the cap of {cap}" in err
+
+    def test_failures_are_listed_and_exit_4(self, capsys, monkeypatch):
+        # the first 50 failure lines are printed, the count covers them all
+        lines = [f"gamma: case {i}" for i in range(52)]
+        family = sweeps.FAMILIES["duality"]
+        failing = family._replace(sweep=lambda jobs, **values: sweeps.SweepOutcome(60, lines))
+        monkeypatch.setitem(sweeps.FAMILIES, "duality", failing)
+        code, out, _ = run(capsys, "sweep", "duality")
+        assert code == 4
+        listed = "".join(f"failure=gamma: case {i}\n" for i in range(50))
+        assert out == "sweep=duality\nchecked=60\nfailures=52\n" + listed
 
     def test_negative_seed_is_accepted(self, capsys):
         code, out, _ = run(capsys, "sweep", "bipartite", "--random", "2", "--seed", "-5")

@@ -64,6 +64,17 @@ def hypergraph_texts(draw) -> bytes:
     return instance_text(n, len(edges), [" ".join(map(str, sorted(e))) for e in edges])
 
 
+@st.composite
+def wide_hypergraph_texts(draw) -> bytes:
+    """A hypergraph file whose edges use only the top few indices of a
+    ground set at, just past or far past the header cap, listed once or
+    1,600 times."""
+    n = draw(st.sampled_from([2048, 2049, 1 << 22]))
+    edges = draw(st.lists(st.sets(st.integers(n - 3, n - 1), min_size=1), min_size=1, max_size=4))
+    body = [" ".join(map(str, sorted(e))) for e in edges] * draw(st.sampled_from([1, 1600]))
+    return instance_text(n, len(body), body)
+
+
 files = st.one_of(st.binary(max_size=64), mangled_texts(), lines.map(str.encode))
 
 
@@ -73,7 +84,7 @@ def half_of(good):
 
 
 graph_files = half_of(graph_texts())
-hypergraph_files = half_of(hypergraph_texts())
+hypergraph_files = half_of(st.one_of(hypergraph_texts(), wide_hypergraph_texts()))
 sequence_files = half_of(numbers.map(str.encode))
 
 

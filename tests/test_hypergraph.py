@@ -154,5 +154,10 @@ class TestTextFormat:
     @pytest.mark.usefixtures("memory_limit")
     def test_header_vertex_cap(self):
         # the cap is checked before the vertex masks are allocated
-        with pytest.raises(SizeCapError, match="exceeds the cap of 4194304"):
+        with pytest.raises(SizeCapError, match="^1000000000000 vertices in the file header exceeds the cap of 2048$"):
             parse_hypergraph("1000000000000 1\n0\n")
+
+    def test_at_the_caps(self):
+        h = parse_hypergraph("2048 2048\n" + "2047\n" * 2048)
+        assert (h.n, h.m) == (2048, 2048)
+        assert h.vertex_masks[2047] == (1 << 2048) - 1

@@ -15,7 +15,6 @@ from grundy import (
     grundy_cover_exact,
     grundy_domination_exact,
     hypergraph_to_bipartite,
-    project_gadget_witness,
 )
 from grundy import reductions
 from grundy.generators import random_graph, random_hypergraph
@@ -139,20 +138,6 @@ class TestGadgetCap:
         wide = Hypergraph(1100, [range(1100), range(1100)])
         with pytest.raises(SizeCapError, match=r"^1212204 edges \(bipartite gadget\)"):
             hypergraph_to_bipartite(wide)
-
-
-class TestWitnessProjection:
-    def test_sample_projection_recovers_source_indices(self):
-        h = sample_hypergraph()
-        rmap = hypergraph_to_bipartite(h)
-        result = grundy_domination_exact(rmap.target)
-        projected = project_gadget_witness(rmap, result.best_sequence)
-        # length n+m+rho forces at least rho vertices from X' and E' combined
-        assert len(projected.get("X", [])) + len(projected.get("E", [])) >= 3
-        for j in projected.get("E", []):
-            assert 0 <= j < h.m
-        for v in projected.get("X", []):
-            assert 0 <= v < h.n
 
 
 class TestRolesFormat:

@@ -15,11 +15,13 @@ import pytest
 
 from grundy import (
     ChainProfile,
+    ChainStructure,
     InputError,
     SizeCapError,
     chain_from_profile,
     grundy_domination_exact,
     independence_number_exact,
+    recognize_chain,
 )
 from grundy import sweeps
 from grundy.sweeps import (
@@ -75,6 +77,17 @@ class TestChainReport:
             "alpha: X(1, 2)/Y(2, 1)",
         ]
         assert report.alpha_mismatches == ["X(1,)/Y(1,)", "X(1, 2)/Y(2, 1)"]
+
+    def test_swapped_sides_are_a_structure_failure(self, monkeypatch):
+        # (sizes_y, sizes_x) is not the mirror profile, and recognition
+        # names vertex 0's side X, so only (sizes_x, sizes_y) may come back
+        def swapped(g):
+            cs = recognize_chain(g)
+            return ChainStructure(g, cs.y_parts, cs.x_parts)
+
+        monkeypatch.setattr(sweeps, "recognize_chain", swapped)
+        report = chain_sweep([ChainProfile((2,), (3,))])
+        assert (report.checked, report.failures) == (1, ["structure: X(2,)/Y(3,)"])
 
 
 def mirror(p: ChainProfile) -> ChainProfile:
