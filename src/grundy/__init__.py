@@ -17,7 +17,6 @@ from .graph import (
     Bipartition,
     Graph,
     bipartition,
-    closed_neighborhood,
     complement,
     format_graph,
     load_graph,

@@ -21,8 +21,8 @@ come from the BFS sides.
 grundy_chain evaluates a (k+1)-entry score table over the twin partition,
 picks a maximizing index, and emits the corresponding concatenation of
 twin classes. Every emitted sequence is re-verified by the independent
-sequence checker before it is returned; a failure raises rather than
-returning a wrong answer.
+sequence checker, through verified_witness, before it is returned; a
+failure raises rather than returning a wrong answer.
 """
 from __future__ import annotations
 
@@ -32,13 +32,9 @@ from itertools import chain
 from math import comb
 from typing import Sequence
 
-from .errors import (
-    IsolatedVertexError,
-    NotChainGraphError,
-    VerificationError,
-)
+from .errors import IsolatedVertexError, NotChainGraphError
 from .graph import Graph, bipartition, complement
-from .sequences import VertexSequence, quick_verify
+from .sequences import VertexSequence, quick_verify, verified_witness
 
 __all__ = [
     "ChainStructure",
@@ -56,9 +52,9 @@ class ChainStructure:
 
     x_parts and y_parts are the twin classes in chain order, each class in
     ascending vertex order, so N(X_i) is the union of Y_1..Y_i and N(Y_j)
-    is the union of X_j..X_k. x_order lists the X side with nested
-    neighborhoods, smallest first; y_order lists the Y side with
-    reverse-nested neighborhoods. Both are read off the parts.
+    is the union of X_j..X_k. Read class by class, x_parts lists the X
+    side with nested neighborhoods, smallest first, and y_parts the Y side
+    with reverse-nested ones. The sizes n1 and n2 are read off the parts.
     """
 
     graph: Graph
@@ -68,14 +64,6 @@ class ChainStructure:
     @property
     def k(self) -> int:
         return len(self.x_parts)
-
-    @property
-    def x_order(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(self.x_parts))
-
-    @property
-    def y_order(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(self.y_parts))
 
     @property
     def n1(self) -> int:
@@ -297,27 +285,22 @@ def grundy_chain(cs: ChainStructure) -> VertexSequence:
     """Emit a maximum dominating sequence of the chain graph.
 
     Runs in time linear in the graph (the emitted order is a concatenation
-    of twin classes) and re-verifies its own output; a failed verification
-    raises VerificationError instead of returning.
-
-    The returned VertexSequence carries no materialized footprints; run it
-    through check_closed_neighborhood_sequence for the full record.
+    of twin classes) and re-verifies its own output through
+    verified_witness; a failed verification raises VerificationError
+    instead of returning. Like every solver's witness, the VertexSequence
+    carries no footprints; check_closed_neighborhood_sequence adds them.
     """
     if cs.k == 1:
-        # Complete bipartite: the longer side in chain order is optimal.
-        order = list(cs.x_order if cs.n1 >= cs.n2 else cs.y_order)
+        # Complete bipartite: the longer side, one twin class, is optimal.
+        order = cs.x_parts[0] if cs.n1 >= cs.n2 else cs.y_parts[0]
         claimed = max(cs.n1, cs.n2)
     else:
         sums = _score_table(cs)
         claimed = max(sums)
         order = _order_for_index(cs, sums.index(claimed))
-
-    legal, dominating = quick_verify(cs.graph, order)
-    if not legal or not dominating or len(order) != claimed:
-        raise VerificationError(
-            f"chain sequence claimed length {claimed} but re-verification disagrees"
-        )
-    return VertexSequence(tuple(order))
+    return VertexSequence(
+        verified_witness(order, claimed, lambda o: all(quick_verify(cs.graph, o)), "chain sequence")
+    )
 
 
 def independence_number_chain(cs: ChainStructure) -> int:
@@ -346,17 +329,20 @@ def grundy_cochain(g: Graph) -> tuple[int, VertexSequence]:
     A co-chain graph is two cliques plus edges between them, and two
     cliques on n vertices hold the fewest edges when they split n evenly;
     a graph with fewer edges is refused before its quadratic complement
-    is built.
+    is built. A universal vertex of g is an isolated vertex of the
+    complement, which no chain graph has, so the method does not apply.
     """
     half = g.n // 2
     if g.edge_count < comb(half, 2) + comb(g.n - half, 2):
         raise NotChainGraphError("too few edges for a co-chain graph")
-    comp = complement(g)
-    cs = recognize_chain(comp)
+    try:
+        cs = recognize_chain(complement(g))
+    except IsolatedVertexError as exc:
+        raise NotChainGraphError(
+            f"universal vertex {exc.vertex} (co-chain recognition requires none)"
+        ) from exc
     k = cs.k
     order = [cs.x_parts[i][0] for i in range(k - 1, -1, -1)]
     order.append(cs.y_parts[0][0])
-    legal, dominating = quick_verify(g, order)
-    if not legal or not dominating or len(order) != k + 1:
-        raise VerificationError("co-chain witness failed re-verification")
-    return k + 1, VertexSequence(tuple(order))
+    witness = verified_witness(order, k + 1, lambda o: all(quick_verify(g, o)), "co-chain sequence")
+    return k + 1, VertexSequence(witness)

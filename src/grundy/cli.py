@@ -26,7 +26,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .exact import HARD_CAP, grundy_domination_exact
+from .exact import grundy_domination_exact
 from .generators import (
     ChainProfile,
     chain_from_profile,
@@ -79,23 +79,21 @@ def _solve(g, method: str, budget):
     if method != "auto":
         try:
             return method, *SOLVERS[method](g, budget)
-        except IsolatedVertexError as exc:
-            if method != "chain":
-                raise
+        except IsolatedVertexError as exc:  # only chain recognition raises it
             raise InputError(f"{exc}; the chain solver requires none, use --method exact") from exc
     for name, solve in SOLVERS.items():
-        if name == "exact" and g.n > HARD_CAP:
-            raise SizeCapError(
-                g.n,
-                HARD_CAP,
-                what="vertices (not a chain or co-chain graph, and too large for "
-                "the exact solver; supported classes: chain, co-chain, or any "
-                f"graph with at most {HARD_CAP} vertices)",
-            )
         try:
             return name, *solve(g, budget)
         except (NotChainGraphError, IsolatedVertexError):
             pass
+        except SizeCapError as exc:  # only the exact solver has a size cap
+            raise SizeCapError(
+                exc.actual,
+                exc.limit,
+                what="vertices (not a chain or co-chain graph, and too large for "
+                "the exact solver; supported classes: chain, co-chain, or any "
+                f"graph with at most {exc.limit} vertices)",
+            ) from exc
 
 
 def cmd_solve(args) -> int:
@@ -277,11 +275,9 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     family = sweeps.FAMILIES[args.family]
     outcome = family.run(args.jobs, **{p.name: getattr(args, p.name) for p in family.params})
-    print(f"sweep={family.name}")
-    print(f"checked={outcome.checked}")
-    print(f"failures={len(outcome.failures)}")
-    for line in outcome.failures[:50]:
-        print(f"failure={line}")
+    failures = outcome.failures
+    _print_report([("sweep", family.name), ("checked", outcome.checked), ("failures", len(failures))])
+    _print_report(("failure", line) for line in failures[:50])
     return EXIT_OK if outcome.ok else EXIT_VERIFY
 
 

@@ -72,11 +72,10 @@ from .errors import (
     BudgetExceededError,
     IsolatedVertexError,
     SizeCapError,
-    VerificationError,
 )
 from .graph import Graph
 from .hypergraph import Hypergraph, is_edge_cover, is_legal_edge_sequence, is_legal_transversal_sequence
-from .sequences import VertexSequence, check_closed_neighborhood_sequence
+from .sequences import VertexSequence, quick_verify, verified_witness
 
 __all__ = [
     "HARD_CAP",
@@ -94,9 +93,10 @@ HARD_CAP = 20
 class SearchResult:
     """Outcome of an exhaustive search.
 
-    best_sequence is a VertexSequence for graph domination and a tuple of
-    move indices (edges or vertices) for the hypergraph variants; it always
-    re-verifies through the independent checkers before being returned.
+    best_sequence is a VertexSequence without footprints for graph
+    domination and a tuple of move indices (edges or vertices) for the
+    hypergraph variants; it always passes the independent checkers, through
+    verified_witness, before being returned.
     nodes_explored counts the connected uncovered sets the search and the
     witness reconstruction expanded.
     """
@@ -265,7 +265,7 @@ def _longest_sequence(
                     need -= 1
                     break
             else:  # pragma: no cover - value() guarantees a maximizer exists
-                raise VerificationError("witness reconstruction lost the optimum")
+                break  # were it lost, verified_witness refuses the short witness
     return total, moves, nodes
 
 
@@ -283,12 +283,8 @@ def grundy_domination_exact(g: Graph, node_budget: int | None = None) -> SearchR
     masks = [_closed_mask(g, v) for v in range(g.n)]
     full = (1 << g.n) - 1
     length, moves, nodes = _longest_sequence(masks, full, graph_twin_classes(g), node_budget)
-    seq = check_closed_neighborhood_sequence(g, moves)
-    if len(seq) != length or seq.covered() != g.n:
-        raise VerificationError(
-            f"search claimed length {length} but witness re-verification disagrees"
-        )
-    return SearchResult(length, seq, nodes)
+    order = verified_witness(moves, length, lambda o: all(quick_verify(g, o)), "exact sequence")
+    return SearchResult(length, VertexSequence(order), nodes)
 
 
 def _closed_mask(g: Graph, v: int) -> int:
@@ -307,11 +303,9 @@ def grundy_cover_exact(h: Hypergraph, node_budget: int | None = None) -> SearchR
         raise IsolatedVertexError(isolated[0], "every vertex must lie in some edge")
     full = (1 << h.n) - 1
     length, moves, nodes = _longest_sequence(h.edge_masks, full, node_budget=node_budget)
-    order = tuple(moves)
-    if not is_legal_edge_sequence(h, order) or not is_edge_cover(h, order):
-        raise VerificationError("edge sequence witness failed re-verification")
-    if len(order) != length:
-        raise VerificationError("edge sequence witness has the wrong length")
+    order = verified_witness(
+        moves, length, lambda o: is_legal_edge_sequence(h, o) and is_edge_cover(h, o), "edge sequence"
+    )
     return SearchResult(length, order, nodes)
 
 
@@ -321,11 +315,9 @@ def grundy_transversal_exact(h: Hypergraph, node_budget: int | None = None) -> S
         raise SizeCapError(h.m, HARD_CAP, what="edges")
     full = (1 << h.m) - 1
     length, moves, nodes = _longest_sequence(h.vertex_masks, full, node_budget=node_budget)
-    order = tuple(moves)
-    if not is_legal_transversal_sequence(h, order):
-        raise VerificationError("transversal witness failed re-verification")
-    if len(order) != length:
-        raise VerificationError("transversal witness has the wrong length")
+    order = verified_witness(
+        moves, length, lambda o: is_legal_transversal_sequence(h, o), "transversal sequence"
+    )
     return SearchResult(length, order, nodes)
 
 

@@ -16,7 +16,6 @@ from .errors import FormatError, InputError, SizeCapError
 __all__ = [
     "Graph",
     "Bipartition",
-    "closed_neighborhood",
     "bipartition",
     "complement",
     "parse_graph",
@@ -67,9 +66,6 @@ class Graph:
             raise InputError(f"vertex {v} out of range for n={self.n}")
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
         for u in range(self.n):
@@ -97,13 +93,6 @@ class Bipartition:
 
     side_x: frozenset[int]
     side_y: frozenset[int]
-
-
-def closed_neighborhood(g: Graph, v: int) -> set[int]:
-    """Return N[v], the neighbors of v together with v itself."""
-    out = set(g.neighbors(v))
-    out.add(v)
-    return out
 
 
 def bipartition(g: Graph) -> Bipartition | None:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import DuplicateVertexError, FormatError, IllegalStepError, InputError
+from .errors import DuplicateVertexError, FormatError, IllegalStepError, InputError, VerificationError
 from .graph import Graph, _data_lines
 
 __all__ = [
@@ -37,9 +37,9 @@ class VertexSequence:
     """A legal closed-neighborhood sequence with its per-step footprints.
 
     footprints[i] lists the vertices newly dominated by order[i]; the sets
-    are pairwise disjoint and each is non-empty. footprints is None on
-    sequences produced by solvers that defer the bookkeeping; pass the order
-    through check_closed_neighborhood_sequence to materialize it.
+    are pairwise disjoint and each is non-empty. No solver materializes
+    them: footprints is None on every solver's witness; pass the order
+    through check_closed_neighborhood_sequence for the full record.
     """
 
     order: tuple[int, ...]
@@ -120,10 +120,7 @@ def is_dominating_sequence(g: Graph, order: Sequence[int]) -> bool:
 
     An illegal sequence raises IllegalStepError; it never reads as False.
     """
-    _, covered, bad = _sweep(g, order, collect=False)
-    if bad >= 0:
-        raise IllegalStepError(bad, order[bad])
-    return covered == g.n
+    return check_closed_neighborhood_sequence(g, order).covered() == g.n
 
 
 def quick_verify(g: Graph, order: Sequence[int]) -> tuple[bool, bool]:
@@ -132,6 +129,19 @@ def quick_verify(g: Graph, order: Sequence[int]) -> tuple[bool, bool]:
     if bad >= 0:
         return False, False
     return True, covered == g.n
+
+
+def verified_witness(order: Sequence[int], claimed: int, verdict: Callable, what: str) -> tuple[int, ...]:
+    """The witness as a tuple, once it has the claimed length and verdict(order)
+    holds. Otherwise raise VerificationError, also when the checker behind
+    verdict refuses the witness as malformed (an InputError, such as a
+    repeated or out-of-range entry). Every solver returns through here."""
+    try:
+        if len(order) == claimed and verdict(order):
+            return tuple(order)
+    except InputError:
+        pass
+    raise VerificationError(f"{what} claimed length {claimed} but re-verification disagrees")
 
 
 def check_subset_ordering(g: Graph, seq: VertexSequence | Iterable[int]) -> bool:

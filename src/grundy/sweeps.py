@@ -3,8 +3,9 @@
 Each sweep pits two independent computations against each other across a
 whole family (fast chain solver vs exhaustive search, covering vs
 transversal numbers, gadget vs source). Workers are plain module-level
-functions over compact descriptors that return (checked, failures), so one
-runner can fan any of them out across processes with --jobs.
+functions over the tasks a family's enumerator built (the gadget sweeps
+pass the source Hypergraph or Graph itself) that return (checked,
+failures), so one runner can fan any of them out across processes.
 
 FAMILIES is the one table of sweep families: for each, the integers it
 reads, their defaults (the acceptance suite's values), their limits, and
@@ -79,7 +80,10 @@ __all__ = [
 # The chain sweep brute-forces independence numbers up to this many vertices.
 ALPHA_CAP = 14
 # Exhaustive duality instances go to the workers in blocks of this many
-# isomorphism classes, one representative each.
+# isomorphism classes, one representative each. One task per
+# representative, batched by the runner's chunksize=256 instead, made the
+# duality sweep slower: perfbench sweep_duality op_ms 170.4 -> 179.5 ms,
+# slower in 5 of 6 pairs, on 2 cores.
 DUALITY_BLOCK = 256
 
 
@@ -442,16 +446,14 @@ def random_reduction_hypergraphs(count: int, seed: int) -> list[Hypergraph]:
     return out
 
 
-def _bipartite_case(task):
+def _bipartite_case(h: Hypergraph):
     """gamma of the bipartite gadget must exceed n+m by exactly rho."""
-    n, edges = task
-    h = Hypergraph(n, edges)
     rho = grundy_cover_exact(h).best_length
     gadget = hypergraph_to_bipartite(h)
     gamma = grundy_domination_exact(gadget.target).best_length
-    expected = n + h.m + rho
+    expected = h.n + h.m + rho
     if gamma != expected:
-        return 1, [f"n={n} edges={edges}: gamma={gamma} expected {expected}"]
+        return 1, [f"n={h.n} edges={h.edges}: gamma={gamma} expected {expected}"]
     return 1, []
 
 
@@ -477,15 +479,13 @@ def random_reduction_graphs(count: int, seed: int) -> list[Graph]:
     return out
 
 
-def _cobipartite_case(task):
+def _cobipartite_case(g: Graph):
     """gamma of the co-bipartite gadget must equal gamma of the source."""
-    n, edges = task
-    g = Graph.from_edges(n, edges)
     gamma_src = grundy_domination_exact(g).best_length
     gadget = graph_to_cobipartite(g)
     gamma_gadget = grundy_domination_exact(gadget.target).best_length
     if gamma_src != gamma_gadget:
-        return 1, [f"n={n} edges={edges}: source={gamma_src} gadget={gamma_gadget}"]
+        return 1, [f"n={g.n} edges={tuple(g.edges())}: source={gamma_src} gadget={gamma_gadget}"]
     return 1, []
 
 
@@ -585,7 +585,7 @@ def _duality_family(jobs, n_max, m_max, random, seed):
 )
 def _bipartite_family(jobs, random, seed):
     hypergraphs = exhaustive_hypergraphs() + random_reduction_hypergraphs(random, seed)
-    return _run(_bipartite_case, [(h.n, h.edges) for h in hypergraphs], jobs, chunksize=4)
+    return _run(_bipartite_case, hypergraphs, jobs, chunksize=4)
 
 
 @_family(
@@ -597,4 +597,4 @@ def _bipartite_family(jobs, random, seed):
 )
 def _cobipartite_family(jobs, n_max, random, seed):
     graphs = exhaustive_graphs(n_max) + random_reduction_graphs(random, seed)
-    return _run(_cobipartite_case, [(g.n, tuple(g.edges())) for g in graphs], jobs, chunksize=8)
+    return _run(_cobipartite_case, graphs, jobs, chunksize=8)

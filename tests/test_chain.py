@@ -13,6 +13,7 @@ from grundy import (
     bipartition,
     IsolatedVertexError,
     NotChainGraphError,
+    VerificationError,
     check_closed_neighborhood_sequence,
     check_subset_ordering,
     complement,
@@ -38,6 +39,7 @@ from .conftest import (
     brute_alpha,
     chain_reference,
     complete_bipartite,
+    complete_graph,
     cycle_graph,
     merge_equal_rows,
     path_graph,
@@ -83,10 +85,10 @@ class TestRecognition:
     def test_nested_order(self):
         cs = recognize_chain(p4_chain())
         g = cs.graph
-        rows = [set(g.neighbors(v)) for v in cs.x_order]
+        rows = [set(g.neighbors(v)) for part in cs.x_parts for v in part]
         for a, b in zip(rows, rows[1:]):
             assert a <= b
-        rows = [set(g.neighbors(v)) for v in cs.y_order]
+        rows = [set(g.neighbors(v)) for part in cs.y_parts for v in part]
         for a, b in zip(rows, rows[1:]):
             assert a >= b
 
@@ -106,7 +108,7 @@ class TestRecognition:
             (i, a + j) for i in range(a) for j in range(b) if rng.next_bit()
         ]
         g = Graph.from_edges(a + b, edges)
-        if any(g.degree(v) == 0 for v in range(g.n)):
+        if not all(g.adjacency):
             return
         rows = [set(g.neighbors(v)) for v in range(a)]
         expected = all(
@@ -124,7 +126,7 @@ class TestRecognition:
                 assert not (nu <= nv or nv <= nu)
             return
         assert expected
-        nested = [set(g.neighbors(v)) for v in cs.x_order]
+        nested = [set(g.neighbors(v)) for part in cs.x_parts for v in part]
         assert all(p <= q for p, q in zip(nested, nested[1:]))
 
 
@@ -187,7 +189,7 @@ class TestRecognitionAgainstReference:
             assert not (nu <= nv or nv <= nu)
             return
         assert verdict == "chain"
-        assert (set(cs.x_order), set(cs.y_order)) == sides
+        assert (set().union(*cs.x_parts), set().union(*cs.y_parts)) == sides
         for parts in (cs.x_parts, cs.y_parts):
             rows = [{tuple(g.neighbors(v)) for v in part} for part in parts]
             assert all(len(r) == 1 for r in rows)
@@ -230,7 +232,7 @@ class TestRecognitionAgainstReference:
         # seen from the other side, the chain order of the classes reverses
         flipped = (profile.sizes_y[::-1], profile.sizes_x[::-1])
         assert recovered in ((profile.sizes_x, profile.sizes_y), flipped)
-        assert 0 in cs.x_order
+        assert 0 in set().union(*cs.x_parts)
 
     @pytest.mark.parametrize("merged", [False, True])
     def test_candidate_sides_and_hub_classes(self, merged):
@@ -394,6 +396,18 @@ class TestCochain:
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)])
         with pytest.raises(NotChainGraphError, match="^too few edges for a co-chain graph$"):
             grundy_cochain(g)
+
+    def test_universal_vertex_does_not_apply(self):
+        # the complement of K5 has five isolated vertices
+        with pytest.raises(NotChainGraphError) as info:
+            grundy_cochain(complete_graph(5))
+        assert str(info.value) == "universal vertex 0 (co-chain recognition requires none)"
+
+    def test_verification_failure(self, monkeypatch):
+        monkeypatch.setattr(chain_module, "quick_verify", lambda g, order: (False, False))
+        with pytest.raises(VerificationError) as info:
+            grundy_cochain(complement(p4_chain()))
+        assert str(info.value) == "co-chain sequence claimed length 3 but re-verification disagrees"
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))

@@ -103,6 +103,16 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    def test_auto_mode_size_cap_names_the_classes(self, tmp_path, capsys):
+        path = write_graph(tmp_path, path_graph(25))
+        assert run(capsys, "solve", path) == (
+            3,
+            "",
+            "error: 25 vertices (not a chain or co-chain graph, and too large for the exact "
+            "solver; supported classes: chain, co-chain, or any graph with at most 20 vertices) "
+            "exceeds the cap of 20\n",
+        )
+
     def test_method_mismatch_exit_code(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_graph(5))
         code, _, _ = run(capsys, "solve", path, "--method", "chain")
@@ -203,7 +213,7 @@ class TestSolveStdout:
                 "error: isolated vertex 2 (chain recognition requires none); "
                 "the chain solver requires none, use --method exact\n",
             ),
-            ("k5", "cochain", 2, "error: isolated vertex 0 (chain recognition requires none)\n"),
+            ("k5", "cochain", 5, "error: universal vertex 0 (co-chain recognition requires none)\n"),
             ("k5", "chain", 5, "error: not bipartite\n"),
             ("chain_k3", "cochain", 5, "error: too few edges for a co-chain graph\n"),
         ],
@@ -219,6 +229,18 @@ class TestSolveStdout:
         code, out, err = run(capsys, "solve", write_graph(tmp_path, P4_CHAIN), "--method", "chain")
         assert (code, out) == (4, "")
         assert err == "internal verification failure: chain sequence claimed length 3 but re-verification disagrees\n"
+
+    @pytest.mark.parametrize("claimed, moves", [(2, [0, 0]), (1, [9]), (4, [0, 2, 3])])
+    def test_exact_verification_failure_exits_4(self, tmp_path, capsys, monkeypatch, claimed, moves):
+        from grundy import exact
+
+        monkeypatch.setattr(exact, "_longest_sequence", lambda *args, **kwargs: (claimed, moves, 1))
+        code, out, err = run(capsys, "solve", write_graph(tmp_path, P4_CHAIN), "--method", "exact")
+        assert (code, out) == (4, "")
+        assert err == (
+            f"internal verification failure: exact sequence claimed length {claimed} "
+            "but re-verification disagrees\n"
+        )
 
 
 class TestVerify:

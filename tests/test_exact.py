@@ -10,6 +10,7 @@ from grundy import (
     Hypergraph,
     IsolatedVertexError,
     SizeCapError,
+    VerificationError,
     check_subset_ordering,
     grundy_cover_exact,
     grundy_domination_exact,
@@ -20,6 +21,7 @@ from grundy import (
     is_legal_edge_sequence,
     is_legal_transversal_sequence,
 )
+from grundy import exact
 from grundy.exact import _closed_mask, _longest_sequence, graph_twin_classes
 from grundy.generators import (
     ChainProfile,
@@ -166,6 +168,10 @@ class TestGrundyCover:
 
 
 class TestGrundyTransversal:
+    def test_edge_cap(self):
+        with pytest.raises(SizeCapError, match="21 edges exceeds the cap of 20"):
+            grundy_transversal_exact(Hypergraph(2, [(0, 1)] * 21))
+
     def test_two_overlapping_edges(self):
         h = Hypergraph(3, [(0, 1), (1, 2)])
         res = grundy_transversal_exact(h)
@@ -184,6 +190,33 @@ class TestGrundyTransversal:
     def test_duality_on_random_instances(self, n, m, seed):
         h = random_hypergraph(n, m, seed)
         assert grundy_transversal_exact(h).best_length == grundy_cover_exact(h).best_length
+
+
+class TestBadWitnessIsRefused:
+    """A search that hands back a bad witness fails re-verification, also
+    where the checker refuses the witness as malformed."""
+
+    H = Hypergraph(3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "solve, instance, what",
+        [
+            (grundy_domination_exact, path_graph(4), "exact sequence"),
+            (grundy_cover_exact, H, "edge sequence"),
+            (grundy_transversal_exact, H, "transversal sequence"),
+        ],
+        ids=["domination", "cover", "transversal"],
+    )
+    @pytest.mark.parametrize(
+        "claimed, moves",
+        [(2, [0, 0]), (1, [99]), (3, [0])],
+        ids=["repeated", "out_of_range", "short"],
+    )
+    def test_raises_verification_error(self, monkeypatch, solve, instance, what, claimed, moves):
+        monkeypatch.setattr(exact, "_longest_sequence", lambda *args, **kwargs: (claimed, moves, 1))
+        with pytest.raises(VerificationError) as info:
+            solve(instance)
+        assert str(info.value) == f"{what} claimed length {claimed} but re-verification disagrees"
 
 
 class TestAgainstSetOracles:
@@ -207,6 +240,10 @@ class TestAgainstSetOracles:
     def test_independence_matches_brute(self, n, p, seed):
         g = random_graph(n, p, seed)
         assert independence_number_exact(g) == brute_alpha(g)
+
+    def test_independence_size_cap(self):
+        with pytest.raises(SizeCapError, match="21 vertices exceeds the cap of 20"):
+            independence_number_exact(Graph.from_edges(21, []))
 
 
 def _blow_up(base: Graph, sizes: list[int], closed: list[bool]) -> Graph:

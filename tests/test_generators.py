@@ -118,3 +118,7 @@ class TestRandomProfile:
             p = random_chain_profile(18, seed)
             assert p.total_vertices <= 18
             assert p == random_chain_profile(18, seed)
+
+    def test_needs_a_vertex_per_side(self):
+        with pytest.raises(InputError, match="at least one vertex per side"):
+            random_chain_profile(1, 0)

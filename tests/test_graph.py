@@ -8,7 +8,6 @@ from grundy import (
     FormatError,
     SizeCapError,
     bipartition,
-    closed_neighborhood,
     complement,
     format_graph,
     parse_graph,
@@ -31,6 +30,10 @@ def graphs(max_n=8):
 
 
 class TestConstruction:
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(InputError, match="vertex count must be nonnegative, got -1"):
+            Graph.from_edges(-1, [])
+
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             Graph.from_edges(2, [(0, 0)])
@@ -50,23 +53,10 @@ class TestConstruction:
         assert g.edge_count == 3
 
 
-class TestClosedNeighborhood:
-    def test_path_midpoint(self):
-        g = path_graph(3)
-        assert closed_neighborhood(g, 1) == {0, 1, 2}
-
-    def test_isolated_vertex(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        assert closed_neighborhood(g, 2) == {2}
-
-    def test_complete_graph(self):
-        g = complete_graph(4)
-        for v in range(4):
-            assert closed_neighborhood(g, v) == {0, 1, 2, 3}
-
+class TestNeighbors:
     def test_out_of_range(self):
         with pytest.raises(InputError):
-            closed_neighborhood(path_graph(3), 3)
+            path_graph(3).neighbors(3)
 
 
 class TestBipartition:

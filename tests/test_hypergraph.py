@@ -14,6 +14,10 @@ from grundy import (
 
 
 class TestConstruction:
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(InputError, match="vertex count must be nonnegative, got -1"):
+            Hypergraph(-1, [])
+
     def test_rejects_empty_edge(self):
         with pytest.raises(InputError):
             Hypergraph(2, [(0,), ()])

@@ -6,6 +6,7 @@ from grundy import (
     DuplicateVertexError,
     IllegalStepError,
     InputError,
+    VertexSequence,
     check_closed_neighborhood_sequence,
     check_subset_ordering,
     is_dominating_sequence,
@@ -66,6 +67,12 @@ class TestChecker:
             assert str(info.value) == f"vertex {order[position]} out of range for n=3"
         else:
             assert info.value.position == position
+
+
+class TestVertexSequence:
+    def test_covered_needs_footprints(self):
+        with pytest.raises(ValueError, match="footprints not materialized"):
+            VertexSequence((0,)).covered()
 
 
 class TestDominating:

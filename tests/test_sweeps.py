@@ -16,8 +16,10 @@ import pytest
 from grundy import (
     ChainProfile,
     ChainStructure,
+    Hypergraph,
     InputError,
     SizeCapError,
+    VertexSequence,
     chain_from_profile,
     grundy_domination_exact,
     independence_number_exact,
@@ -215,6 +217,70 @@ def test_duality_brute_mismatch_reports(monkeypatch):
     outcome = sweeps.duality_exhaustive_sweep(2, 1)
     assert outcome.checked == 2
     assert outcome.failures == ["n=2 masks=(3,) rho=3 tau=1"]
+
+
+class TestWorkerFailureLines:
+    """Every failure line a sweep worker writes, forced in serial mode by
+    a solver that returns the wrong thing."""
+
+    def test_chain_witness_and_sandwich(self, monkeypatch):
+        real = sweeps.grundy_chain
+        monkeypatch.setattr(sweeps, "grundy_chain", lambda cs: VertexSequence(real(cs).order[:-1]))
+        assert chain_sweep(PROFILES).failures == [
+            "gamma: X(1,)/Y(1,) chain=0 exact=1",
+            "witness: X(1,)/Y(1,)",
+            "sandwich: X(1,)/Y(1,)",
+            "gamma: X(1, 2)/Y(2, 1) chain=2 exact=3",
+            "witness: X(1, 2)/Y(2, 1)",
+            "sandwich: X(1, 2)/Y(2, 1)",
+        ]
+
+    def test_chain_sandwich_and_alpha(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "independence_number_chain", lambda cs: -1)
+        assert chain_sweep(PROFILES).failures == [
+            "sandwich: X(1,)/Y(1,)",
+            "alpha: X(1,)/Y(1,)",
+            "sandwich: X(1, 2)/Y(2, 1)",
+            "alpha: X(1, 2)/Y(2, 1)",
+        ]
+
+    def test_duality_random(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "grundy_transversal_exact", lambda h: SimpleNamespace(best_length=-1))
+        outcome = sweeps.duality_random_sweep(2, 11)
+        assert (outcome.checked, outcome.failures) == (
+            2,
+            ["seed=1011 n=2 m=3 rho=2 tau=-1", "seed=1012 n=2 m=3 rho=2 tau=-1"],
+        )
+
+    def test_bipartite(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=0))
+        monkeypatch.setattr(
+            sweeps, "exhaustive_hypergraphs", lambda: [Hypergraph(2, [[0], [1]]), Hypergraph(3, [[0, 1], [1, 2]])]
+        )
+        outcome = FAMILIES["bipartite"].run(random=2, seed=23)
+        assert (outcome.checked, outcome.failures) == (
+            4,
+            [
+                "n=2 edges=((0,), (1,)): gamma=0 expected 6",
+                "n=3 edges=((0, 1), (1, 2)): gamma=0 expected 7",
+                "n=4 edges=((1, 2, 3), (0, 1), (0, 1)): gamma=0 expected 9",
+                "n=2 edges=((1,), (0,), (1,)): gamma=0 expected 7",
+            ],
+        )
+
+    def test_cobipartite(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=g.n))
+        outcome = FAMILIES["cobipartite"].run(n_max=2, random=2, seed=37)
+        assert (outcome.checked, outcome.failures) == (
+            5,
+            [
+                "n=1 edges=(): source=1 gadget=2",
+                "n=2 edges=(): source=2 gadget=4",
+                "n=2 edges=((0, 1),): source=2 gadget=4",
+                "n=5 edges=(): source=5 gadget=10",
+                "n=6 edges=((0, 2), (1, 3), (2, 3), (2, 5)): source=6 gadget=12",
+            ],
+        )
 
 
 class TestEdgeSetOrbits:
