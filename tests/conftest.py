@@ -169,17 +169,15 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
-def labelled_edge_sets(n: int, m: int):
-    """Every set of m distinct non-empty edge masks on n vertices whose
-    union is all n vertices, as a sorted tuple: the labelled instances that
-    the exhaustive duality sweep counts."""
-    full = (1 << n) - 1
-    for combo in itertools.combinations(range(1, 1 << n), m):
-        union = 0
-        for mask in combo:
-            union |= mask
-        if union == full:
-            yield combo
+def exhaustive_graphs(n_max: int) -> list[Graph]:
+    """Every labelled graph on 1..n_max vertices."""
+    out = []
+    for n in range(1, n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+            out.append(Graph.from_edges(n, edges))
+    return out
 
 
 def relabel_masks(masks, perm) -> tuple[int, ...]:

@@ -77,11 +77,11 @@ def test_criterion_4_bipartite_reduction_equivalence():
 
 def test_criterion_5_cobipartite_reduction_equivalence():
     outcome = FAMILIES["cobipartite"].run(jobs=JOBS)
-    assert outcome.checked == 1099 + 200
+    assert outcome.checked == 2_131_019 + 200
     assert outcome.failures == []
     print(
         f"\nCRITERION 5 (co-bipartite gadget equivalence): PASS on {outcome.checked} "
-        "instances (1099 exhaustive + 200 random)"
+        "instances (2131019 exhaustive, checked on 1252 isomorphism classes, + 200 random)"
     )
 
 

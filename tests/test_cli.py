@@ -616,8 +616,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "argv, cap",
         [
-            (["cobipartite", "--n-max", "9"], 6),
-            (["duality", "--n-max", "7"], 6),
+            (["cobipartite", "--n-max", "9"], 7),
+            (["duality", "--n-max", "8"], 7),
             (["duality", "--m-max", "6"], 5),
             (["chain", "--max-k", "5"], 4),
             (["chain", "--max-part", "6"], 5),

@@ -35,7 +35,7 @@ from grundy.sweeps import (
     exhaustive_profiles,
 )
 
-from .conftest import labelled_edge_sets, relabel_masks
+from .conftest import exhaustive_graphs, relabel_masks
 
 PROFILES = [ChainProfile((1,), (1,)), ChainProfile((1, 2), (2, 1))]
 
@@ -182,8 +182,8 @@ class TestFamilies:
             raise AssertionError("the sweep started")
 
         family = FAMILIES["duality"]._replace(sweep=no_sweep)
-        with pytest.raises(SizeCapError, match=r"7 \(duality sweep n_max\) exceeds the cap of 6"):
-            family.run(n_max=7)
+        with pytest.raises(SizeCapError, match=r"8 \(duality sweep n_max\) exceeds the cap of 7"):
+            family.run(n_max=8)
         with pytest.raises(InputError, match="random must be at least 0"):
             family.run(random=-4)
         with pytest.raises(InputError, match="m_max must be at least 1"):
@@ -196,6 +196,10 @@ class TestFamilies:
     def test_given_values_override_defaults(self):
         outcome = FAMILIES["bipartite"].run(random=0)
         assert (outcome.checked, outcome.failures) == (522, [])
+
+    def test_cobipartite_counts_labelled_graphs(self):
+        outcome = FAMILIES["cobipartite"].run(n_max=5, random=0)
+        assert (outcome.checked, outcome.failures) == (1099, [])
 
 
 def test_duality_engine_recheck_reports(monkeypatch):
@@ -283,38 +287,76 @@ class TestWorkerFailureLines:
         )
 
 
+def pair_masks(n: int) -> list[int]:
+    return [mask for mask in range(1 << n) if mask.bit_count() == 2]
+
+
 class TestEdgeSetOrbits:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_labelled_set_has_one_representative(self, n):
-        m_max = 5
-        yielded = list(edge_set_orbits(n, m_max))
+    def assert_one_representative_each(self, n, yielded, labelled):
+        """Every labelled set has exactly one representative, its minimal
+        relabelling, and orbit_size = n!/|Aut|; the empty set comes first."""
+        assert yielded[0] == ((), 1)
         orbits = dict(yielded)
         assert len(orbits) == len(yielded)
         perms = list(itertools.permutations(range(n)))
-        hits = Counter()
-        for m in range(1, m_max + 1):
-            for masks in labelled_edge_sets(n, m):
-                images = {relabel_masks(masks, perm) for perm in perms}
-                found = [image for image in images if image in orbits]
-                assert found == [min(images)]
-                hits[found[0]] += 1
-        assert hits == orbits
+        reached = set()
         for masks, size in orbits.items():
-            automorphisms = sum(relabel_masks(masks, perm) == masks for perm in perms)
-            assert size == len(perms) // automorphisms
+            images = [relabel_masks(masks, perm) for perm in perms]
+            assert masks == min(images)
+            assert size == len(perms) // images.count(masks)
+            assert reached.isdisjoint(images)
+            reached.update(images)
+        assert reached == set(labelled)
 
-    def test_orbit_sums_match_inclusion_exclusion(self):
-        for n in range(1, 6):
-            assert list(edge_set_orbits(n, 0)) == []
-            sums = Counter()
-            for masks, size in edge_set_orbits(n, 5):
-                sums[len(masks)] += size
-            for m in range(1, 6):
-                onto = sum(
-                    (-1) ** (n - k) * math.comb(n, k) * math.comb(2**k - 1, m) for k in range(n + 1)
-                )
-                assert sums[m] == onto, (n, m)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_labelled_set_has_one_representative(self, n):
+        m_max = 5
+        masks = range(1, 1 << n)
+        labelled = [c for m in range(m_max + 1) for c in itertools.combinations(masks, m)]
+        self.assert_one_representative_each(n, list(edge_set_orbits(n, m_max, masks)), labelled)
 
-    def test_class_counts_at_six_vertices(self):
-        counts = Counter(len(masks) for masks, _ in edge_set_orbits(6, 3))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_labelled_graph_has_one_representative(self, n):
+        graphs = [g for g in exhaustive_graphs(n) if g.n == n]
+        labelled = [tuple(sorted(1 << u | 1 << v for u, v in g.edges())) for g in graphs]
+        pairs = pair_masks(n)
+        self.assert_one_representative_each(n, list(edge_set_orbits(n, len(pairs), pairs)), labelled)
+
+    def test_graph_class_counts(self):
+        for n, classes in enumerate([1, 2, 4, 11, 34, 156], start=1):
+            pairs = pair_masks(n)
+            sizes = [size for _, size in edge_set_orbits(n, len(pairs), pairs)]
+            assert (len(sizes), sum(sizes)) == (classes, 2 ** math.comb(n, 2))
+
+    def test_no_masks_leaves_the_empty_set(self):
+        assert list(edge_set_orbits(3, 0, range(1, 8))) == [((), 1)]
+
+    @staticmethod
+    def covering_classes(monkeypatch, n_max, m_max):
+        """The (n, masks, orbit_size) that the duality sweep hands its workers."""
+        seen = []
+
+        def record(task):
+            n, block = task
+            seen.extend((n, masks, size) for masks, size in block)
+            return 0, []
+
+        monkeypatch.setattr(sweeps, "_dual_case", record)
+        sweeps.duality_exhaustive_sweep(n_max, m_max)
+        return seen
+
+    def test_orbit_sums_match_inclusion_exclusion(self, monkeypatch):
+        sums = Counter()
+        for n, masks, size in self.covering_classes(monkeypatch, 5, 5):
+            sums[n, len(masks)] += size
+        onto = {
+            (n, m): sum((-1) ** (n - k) * math.comb(n, k) * math.comb(2**k - 1, m) for k in range(n + 1))
+            for n in range(1, 6)
+            for m in range(1, 6)
+        }
+        assert sums == {key: count for key, count in onto.items() if count}
+
+    def test_class_counts_at_six_vertices(self, monkeypatch):
+        classes = self.covering_classes(monkeypatch, 6, 3)
+        counts = Counter(len(masks) for n, masks, _ in classes if n == 6)
         assert counts == {1: 1, 2: 14, 3: 154}
