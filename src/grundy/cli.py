@@ -1,5 +1,11 @@
 """Command-line front end: solve, verify, reduce, gen, bench, sweep.
 
+The CLI parses arguments and prints reports. Each limit it applies is
+checked in one module: `gen`'s sizes here, file headers in `graph` and
+`hypergraph`, gadget sizes in `reductions`, the exact search's cap in
+`exact`, bench sizes in `bench`, and sweep option values, the worker pool
+and the orbit generator's vertex bound in `sweeps`.
+
 Exit codes: 0 success, 2 input error, 3 size or budget cap, 4 internal
 verification failure, 5 requested method does not apply to the instance.
 Every witness printed by a solve path has already been re-verified by the
@@ -9,7 +15,6 @@ printing an unverified answer.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -219,43 +224,19 @@ def cmd_gen(args) -> int:
 # ---- bench -----------------------------------------------------------------
 
 
-_INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
-
-
-def _int_at_least(minimum: int | None):
-    """An argparse type: an integer no smaller than minimum (any integer
-    when minimum is None)."""
-    kind = _INT_KINDS.get(minimum, f"an integer >= {minimum}")
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-            if minimum is None or value >= minimum:
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(tok) for tok in text.split(",")]
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _job_count(text: str) -> int:
-    """A positive worker count, clamped to the CPUs this process may use:
-    the sweep pool starts every worker at once."""
-    return min(_positive_int(text), _usable_cpus())
 
 
 def cmd_bench(args) -> int:
@@ -313,23 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("gen", help="generate instances")
+    p.set_defaults(func=cmd_gen)
     gen_sub = p.add_subparsers(dest="kind", required=True)
     pc = gen_sub.add_parser("chain")
     pc.add_argument("--profile", required=True, help="e.g. 1,2,1x2,1,3 (X sizes x Y sizes)")
     pc.add_argument("--out", required=True)
-    pc.set_defaults(func=cmd_gen, kind="chain")
     pg = gen_sub.add_parser("graph")
     pg.add_argument("--n", type=int, required=True)
     pg.add_argument("--p", type=float, required=True)
     pg.add_argument("--seed", type=int, required=True)
     pg.add_argument("--out", required=True)
-    pg.set_defaults(func=cmd_gen, kind="graph")
     ph = gen_sub.add_parser("hypergraph")
     ph.add_argument("--n", type=int, required=True)
     ph.add_argument("--m", type=int, required=True)
     ph.add_argument("--seed", type=int, required=True)
     ph.add_argument("--out", required=True)
-    ph.set_defaults(func=cmd_gen, kind="hypergraph")
 
     p = sub.add_parser("bench", help="time the chain pipeline across sizes")
     p.add_argument(
@@ -352,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     for family in sweeps.FAMILIES.values():
         pf = family_sub.add_parser(family.name, help=family.help)
         pf.add_argument(
-            "--jobs", type=_job_count, default=None, help="worker processes, at most the usable CPUs"
+            "--jobs", type=_positive_int, default=None, help="worker processes, at most the usable CPUs"
         )
         for param in family.params:
             limit = "" if param.cap is None else f", at most {param.cap}"
             pf.add_argument(
                 "--" + param.name.replace("_", "-"),
-                type=_int_at_least(param.minimum),
+                type=int,
                 default=param.default,
                 help=f"{param.help} (default {param.default}{limit})",
             )
@@ -367,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse in Python 3.11 parses --NAME=-- as []
+        parser.error("an option's value cannot be '--'")
     try:
         return args.func(args)
     except (BudgetExceededError, SizeCapError) as exc:

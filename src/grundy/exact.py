@@ -121,14 +121,14 @@ def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
     N(u) = N(v), hence v is in N[w] = N[u]; as v != u, v is in N(u) = N(v),
     but no vertex is its own neighbor.
     """
-    open_groups: dict[tuple[int, ...], list[int]] = {}
-    closed_groups: dict[tuple[int, ...], list[int]] = {}
+    open_groups: dict[int, list[int]] = {}
+    closed_groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        row = tuple(g.adjacency[v])
-        open_groups.setdefault(row, []).append(v)
-        closed_groups.setdefault(tuple(sorted(row + (v,))), []).append(v)
+        closed = _closed_mask(g, v)
+        open_groups.setdefault(closed ^ 1 << v, []).append(v)
+        closed_groups.setdefault(closed, []).append(v)
     return sorted(
-        tuple(sorted(members))
+        tuple(members)
         for groups in (open_groups, closed_groups)
         for members in groups.values()
         if len(members) > 1

@@ -26,6 +26,7 @@ solvers once per isomorphism class of profiles (chain_sweep).
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -95,11 +96,20 @@ class SweepOutcome:
         return not self.failures
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run(worker, tasks, jobs: int | None, chunksize: int = 1) -> SweepOutcome:
-    """Map worker over tasks, across `jobs` processes when jobs > 1, and add
-    up the (checked, failures) pair each task returns."""
+    """Map worker over tasks and add up the (checked, failures) pair each
+    task returns. Every sweep runs through here, so this alone sizes the
+    pool: jobs processes, clamped to the CPUs this process may use since the
+    pool starts every worker at once; with one, tasks run in this process."""
+    jobs = min(jobs or 1, _usable_cpus())
     outcome = SweepOutcome()
-    with ProcessPoolExecutor(jobs) if jobs and jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         results = pool.map(worker, tasks, chunksize=chunksize) if pool else map(worker, tasks)
         for checked, failures in results:
             outcome.checked += checked
@@ -254,6 +264,10 @@ def _brute_max_len(masks: tuple[int, ...], full: int) -> int:
     return best
 
 
+# edge_set_orbits' four tables hold n! * 2^n entries each: 645,120 at n = 7, 10,321,920 at n = 8
+MAX_ORBIT_VERTICES = 7
+
+
 def edge_set_orbits(n: int, m_max: int, elements):
     """Yield (masks, orbit_size) once per isomorphism class of the sets of
     at most m_max masks drawn from elements, the empty set first.
@@ -286,8 +300,11 @@ def edge_set_orbits(n: int, m_max: int, elements):
     rejects it as well.) Pending ties are kept by the mask d that would
     meet them. All of this holds for any such elements: each image and
     preimage of an element is one, so relabelled sets and the masks that
-    meet ties stay among them. The tables (n! rows of 2^n) are per call.
+    meet ties stay among them. The tables (n! rows of 2^n) are per call;
+    an n above MAX_ORBIT_VERTICES raises SizeCapError before any is built.
     """
+    if n > MAX_ORBIT_VERTICES:
+        raise SizeCapError(n, MAX_ORBIT_VERTICES, what="vertices (edge_set_orbits)")
     yield (), 1
     if m_max < 1:
         return
@@ -489,9 +506,9 @@ def _cobipartite_case(task):
 # NamedTuples rather than dataclasses: the table is built on import, and a
 # frozen dataclass costs about a millisecond of start-up each.
 class SweepParam(NamedTuple):
-    """One integer a sweep family reads; the CLI offers it as --NAME, with
-    dashes for underscores. A value below minimum (None: no minimum) is an
-    input error; one above cap is refused before anything is enumerated."""
+    """One integer a sweep family reads; the CLI parses any integer as --NAME
+    (dashes for underscores). SweepFamily.run alone checks it, before anything
+    is enumerated: below minimum (None: none) is an InputError, above cap a SizeCapError."""
 
     name: str
     default: int
@@ -561,7 +578,7 @@ def _chain_family(jobs, max_k, max_part, max_vertices, random, random_vertices, 
 @_family(
     "duality",
     "covering vs transversal number on hypergraphs",
-    SweepParam("n_max", 6, "most vertices of the exhaustive hypergraphs", cap=7),
+    SweepParam("n_max", 6, "most vertices of the exhaustive hypergraphs", cap=MAX_ORBIT_VERTICES),
     SweepParam("m_max", 5, "most edges of the exhaustive hypergraphs", cap=5),
     _random(500),
     _seed(11),
@@ -585,7 +602,7 @@ def _bipartite_family(jobs, random, seed):
 @_family(
     "cobipartite",
     "co-bipartite gadget vs the Grundy domination number of its graph",
-    SweepParam("n_max", 7, "most vertices of the exhaustive graphs", cap=7),
+    SweepParam("n_max", 7, "most vertices of the exhaustive graphs", cap=MAX_ORBIT_VERTICES),
     _random(200),
     _seed(37),
 )

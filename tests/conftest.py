@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from grundy import Graph, Hypergraph
+from grundy import Graph, Hypergraph, sweeps
 
 
 @contextlib.contextmanager
@@ -43,6 +43,29 @@ def memory_limit():
     """address_space_cap() for one whole test."""
     with address_space_cap():
         yield
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand a serial recorder in for the sweep runner's process pool, so no
+    worker starts; the list it returns gets each worker count asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 # ---- small graph builders --------------------------------------------------

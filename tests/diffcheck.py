@@ -11,7 +11,10 @@ The families are G(n, p) with n <= 16, renamed twin blow-ups, renamed
 chain profiles and their complements, both gadgets, cover and
 transversal with and without node budgets, rho_tau_values, inputs past
 the caps, and `solve` stdout (minus time_ms), stderr and exit code for
-every --method on graph files.
+every --method on graph files. The `cli_args` family, a fixed list
+whatever COUNT is, compares the exit code, stdout and stderr of `sweep`,
+`gen` and `bench` with each option just past its limit or no integer,
+and of two tiny legal sweeps.
 
 Calls of grundy_cochain (and `solve --method cochain`) on a graph with a
 universal vertex form their own families, `cochain_universal` and
@@ -105,6 +108,51 @@ def _graph_cases(count):
         yield "chain", f"chain profile seed {seed}", _shuffled(g, rng) if seed % 3 else g
 
 
+# each sweep option's (minimum, cap); None where it has none
+SWEEP_LIMITS = {
+    "chain": {"max-k": (1, 4), "max-part": (1, 5), "max-vertices": (1, 20), "random": (0, None),
+              "random-vertices": (2, 20), "seed": (None, None)},
+    "duality": {"n-max": (1, 7), "m-max": (1, 5), "random": (0, None), "seed": (None, None)},
+    "bipartite": {"random": (0, None), "seed": (None, None)},
+    "cobipartite": {"n-max": (1, 7), "random": (0, None), "seed": (None, None)},
+}
+
+
+def _cli_args(out: str) -> list[list[str]]:
+    """The argv of the cli_args family; gen writes to out."""
+    argvs = []
+    for family, options in SWEEP_LIMITS.items():
+        for option, (minimum, cap) in options.items():
+            values = [] if minimum is None else [str(minimum - 1)]
+            values += ([] if cap is None else [str(cap + 1)]) + ["x"]
+            argvs += [["sweep", family, f"--{option}={value}"] for value in values]
+        argvs += [["sweep", family, "--jobs", jobs] for jobs in ("0", "x")]
+    argvs += [
+        ["gen", "graph", "--n", "4097", "--p", "0.5", "--seed", "1", "--out", out],
+        ["gen", "hypergraph", "--n", "3", "--m", "2049", "--seed", "1", "--out", out],
+        ["gen", "chain", "--profile", "4194304x1", "--out", out],
+        ["bench", "--sizes", "0"],
+        ["bench", "--sizes", "4194305"],
+        ["sweep", "duality", "--n-max", "2", "--m-max", "2", "--random", "2"],
+        ["sweep", "cobipartite", "--n-max", "3", "--random", "1", "--jobs", "1"],
+    ]
+    return argvs
+
+
+# the families whose outcome is [exit code, stdout, stderr]
+CLI_FAMILIES = {"solve", "solve_cochain_universal", "cli_args"}
+
+
+def _run_cli(cli, argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def _dump(src: str, count: int, ignore_nodes: bool) -> None:
     sys.path.insert(0, src)
     import grundy
@@ -177,11 +225,13 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
             for method in ("auto", "exact", "chain", "cochain"):
                 for extra in ([], ["--machine"], ["--budget", "3"]):
                     family = "solve_cochain_universal" if method == "cochain" and _universal(g) else "solve"
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(["solve", path, "--method", method, *extra])
-                    stdout = "".join(line for line in out.getvalue().splitlines(True) if not line.startswith("time_ms="))
-                    print(json.dumps([family, f"solve --method {method} {' '.join(extra)} {label}", [code, stdout, err.getvalue()]]))
+                    code, out, err = _run_cli(cli, ["solve", path, "--method", method, *extra])
+                    stdout = "".join(line for line in out.splitlines(True) if not line.startswith("time_ms="))
+                    print(json.dumps([family, f"solve --method {method} {' '.join(extra)} {label}", [code, stdout, err]]))
+        out = os.path.join(tmp, "gen.out")
+        for argv in _cli_args(out):
+            label = " ".join(argv).replace(out, "OUT")
+            print(json.dumps(["cli_args", label, list(_run_cli(cli, argv))]))
 
 
 def _run_tree(src: str, count: int, ignore_nodes: bool) -> list[list]:
@@ -216,6 +266,9 @@ def main(argv=None) -> int:
     for title, diffs in (("differences", unexpected), ("expected changes", expected)):
         by_family = Counter(d[0] for d in diffs)
         print(f"{title}: {len(diffs)}", ", ".join(f"{f} {by_family[f]}/{totals[f]}" for f in sorted(by_family)))
+        codes = [d for d in diffs if d[0] in CLI_FAMILIES]
+        if codes:
+            print(f"  exit code changed in {sum(d[2][0] != d[3][0] for d in codes)} of {len(codes)} command lines")
         for family, label, before, after in diffs[:20]:
             print(f"  [{family}] {label}\n    old: {before}\n    new: {after}")
     print(f"outcomes: {len(old)}", ", ".join(f"{f} {totals[f]}" for f in sorted(totals)))

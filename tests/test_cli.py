@@ -514,6 +514,27 @@ class TestNotUtf8:
         assert "not valid UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "graph", "--n=--", "--p", "0.5", "--seed", "1", "--out", "g.graph"],
+        ["gen", "chain", "--profile=--", "--out", "g.graph"],
+        ["bench", "--sizes=--"],
+        ["solve", "g.graph", "--method=--"],
+        ["sweep", "chain", "--max-k=--"],
+    ],
+)
+def test_double_dash_value_is_a_usage_error(capsys, argv):
+    # argparse in Python 3.11 parses --NAME=-- as an empty list, which no
+    # command may receive
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: an option's value cannot be '--'\n")
+
+
 @pytest.mark.usefixtures("memory_limit")
 class TestHeaderCap:
     """A header count above a cap exits 3 before anything sized by it is
@@ -595,22 +616,36 @@ class TestSweep:
             (["bipartite", "--n-max", "3"], "unrecognized arguments: --n-max 3"),
             (["cobipartite", "--max-k", "2"], "unrecognized arguments: --max-k 2"),
             (["duality", "--max-vertices", "8"], "unrecognized arguments: --max-vertices 8"),
-            (["bipartite", "--random", "-4"], "expected a non-negative integer, got '-4'"),
-            (["duality", "--n-max", "0"], "expected a positive integer, got '0'"),
-            (["chain", "--max-k", "-1"], "expected a positive integer, got '-1'"),
-            (["chain", "--random-vertices", "1"], "expected an integer >= 2, got '1'"),
-            (["cobipartite", "--seed", "x"], "expected an integer, got 'x'"),
+            (["bipartite", "--random", "-4"], "error: bipartite sweep: random must be at least 0, got -4"),
+            (["duality", "--n-max", "0"], "error: duality sweep: n_max must be at least 1, got 0"),
+            (["chain", "--max-k", "-1"], "error: chain sweep: max_k must be at least 1, got -1"),
+            (["chain", "--random-vertices", "1"], "error: chain sweep: random_vertices must be at least 2, got 1"),
+            (["cobipartite", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
         ],
     )
-    def test_bad_options_are_usage_errors(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as info:
-            main(["sweep", *argv])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        # an option of another family is unknown to the whole command line
-        usage = "usage: grundy " if "unrecognized" in message else f"usage: grundy sweep {argv[0]} "
-        assert err.startswith(usage)
-        assert message in err
+    def test_bad_options_are_usage_errors(self, capsys, monkeypatch, argv, message):
+        # argparse refuses an unknown option or a non-integer with a usage
+        # line; the family table refuses a value below its minimum, in its
+        # own words, before the sweep starts
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        family = sweeps.FAMILIES[argv[0]]
+        monkeypatch.setitem(sweeps.FAMILIES, argv[0], family._replace(sweep=no_sweep))
+        try:
+            code = main(["sweep", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if message.startswith("error: "):
+            assert err == message + "\n"
+        else:
+            # an option of another family is unknown to the whole command line
+            usage = "usage: grundy " if "unrecognized" in message else f"usage: grundy sweep {argv[0]} "
+            assert err.startswith(usage)
+            assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -662,10 +697,13 @@ class TestSweep:
         assert "expected a positive integer" in err
         assert "Traceback" not in err
 
-    def test_jobs_clamped_to_usable_cpus(self):
-        # parse only: a sweep with this many workers must never start
-        usable = len(os.sched_getaffinity(0))
-        assert cli._job_count("100000") == usable
-        assert cli._job_count("1") == 1
+    def test_jobs_clamped_to_usable_cpus(self, capsys, pool_sizes):
+        # the CLI passes the count on; the sweep runner asks the pool (here a
+        # serial recorder, so no worker starts) for at most the usable CPUs
         args = cli.build_parser().parse_args(["sweep", "chain", "--jobs", "100000"])
-        assert args.jobs == usable
+        assert args.jobs == 100000
+        argv = ["chain", "--max-k", "1", "--max-part", "1", "--max-vertices", "2", "--random", "0"]
+        code, out, _ = run(capsys, "sweep", *argv, "--jobs", "100000")
+        assert (code, out) == (0, "sweep=chain\nchecked=1\nfailures=0\n")
+        usable = len(os.sched_getaffinity(0))
+        assert pool_sizes == ([usable] if usable > 1 else [])

@@ -53,6 +53,23 @@ class TestConstruction:
         assert g.edge_count == 3
 
 
+class TestValueSemantics:
+    def test_equal_graphs_hash_alike(self):
+        a = Graph.from_edges(3, [(0, 1), (1, 2)])
+        b = Graph.from_edges(3, [(2, 1), (1, 0)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, path_graph(4)}) == 2
+        assert a != Graph.from_edges(3, [(0, 1)])
+
+    def test_other_types_are_not_equal(self):
+        g = path_graph(2)
+        assert g.__eq__((2, ((1,), (0,)))) is NotImplemented
+        assert g != "Graph(n=2, m=1)"
+
+    def test_repr(self):
+        assert repr(path_graph(4)) == "Graph(n=4, m=3)"
+
+
 class TestNeighbors:
     def test_out_of_range(self):
         with pytest.raises(InputError):

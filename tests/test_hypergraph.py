@@ -39,6 +39,21 @@ class TestConstruction:
         assert h.isolated_vertices() == [1, 3]
 
 
+class TestValueSemantics:
+    def test_equal_hypergraphs_hash_alike(self):
+        a, b = Hypergraph(3, [(0, 1), (2,)]), Hypergraph(3, [[0, 1], [2]])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Hypergraph(3, [(2,), (0, 1)])}) == 2
+
+    def test_other_types_are_not_equal(self):
+        h = Hypergraph(2, [(0, 1)])
+        assert h.__eq__((2, ((0, 1),))) is NotImplemented
+        assert h != "Hypergraph(n=2, m=1)"
+
+    def test_repr(self):
+        assert repr(Hypergraph(4, [(0, 1), (2, 3), (1,)])) == "Hypergraph(n=4, m=3)"
+
+
 class TestEdgeCover:
     def test_both_edges_cover(self):
         h = Hypergraph(3, [(0, 1), (1, 2)])

@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import os
 from collections import Counter
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from grundy import (
 from grundy import sweeps
 from grundy.sweeps import (
     FAMILIES,
+    MAX_ORBIT_VERTICES,
     ChainSweepReport,
     SweepOutcome,
     chain_sweep,
@@ -160,6 +162,28 @@ def test_worker_error_reaches_the_caller():
     assert (info.value.actual, info.value.limit) == (22, 20)
 
 
+class TestPoolSize:
+    # pool_sizes stands a serial recorder in for the process pool
+    def test_jobs_are_clamped_to_usable_cpus(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: 3)
+        for jobs in (100_000, 3, 2, 1, 0, -1, None):
+            assert sweeps._run(lambda task: (task, []), [1, 2], jobs) == SweepOutcome(3, [])
+        assert pool_sizes == [3, 3, 2]
+
+    def test_library_sweeps_are_clamped(self, pool_sizes):
+        usable = len(os.sched_getaffinity(0))
+        assert chain_sweep(exhaustive_profiles(1, 1, 2), jobs=100_000).checked == 1
+        assert FAMILIES["bipartite"].run(100_000, random=1).checked == 523
+        assert pool_sizes == ([usable] * 2 if usable > 1 else [])
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert sweeps._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweeps._usable_cpus() == 1
+
+
 def test_parallel_run_matches_serial():
     values = {"n_max": 3, "random": 5}
     assert FAMILIES["cobipartite"].run(2, **values) == FAMILIES["cobipartite"].run(None, **values)
@@ -192,6 +216,11 @@ class TestFamilies:
     def test_unknown_value_is_rejected(self):
         with pytest.raises(TypeError):
             FAMILIES["bipartite"].run(n_max=3)
+
+    def test_vertex_caps_are_the_orbit_generators(self):
+        for name in ("duality", "cobipartite"):
+            (n_max,) = [p for p in FAMILIES[name].params if p.name == "n_max"]
+            assert n_max.cap == MAX_ORBIT_VERTICES
 
     def test_given_values_override_defaults(self):
         outcome = FAMILIES["bipartite"].run(random=0)
@@ -327,6 +356,12 @@ class TestEdgeSetOrbits:
             pairs = pair_masks(n)
             sizes = [size for _, size in edge_set_orbits(n, len(pairs), pairs)]
             assert (len(sizes), sum(sizes)) == (classes, 2 ** math.comb(n, 2))
+
+    def test_more_vertices_than_the_tables_hold(self, memory_limit):
+        # n = 8 would need four tables of 10,321,920 entries
+        orbits = edge_set_orbits(MAX_ORBIT_VERTICES + 1, 1, range(1, 256))
+        with pytest.raises(SizeCapError, match=r"8 vertices \(edge_set_orbits\) exceeds the cap of 7"):
+            next(orbits)
 
     def test_no_masks_leaves_the_empty_set(self):
         assert list(edge_set_orbits(3, 0, range(1, 8))) == [((), 1)]
