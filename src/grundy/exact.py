@@ -168,14 +168,16 @@ def _longest_sequence(
     Search order at every expansion: ascending size of the move's
     residual contribution (the child with the most uncovered bits
     first), ties by move index, stopping once no later child can beat
-    the best (see the module docstring). Witness order: descending size
-    of the residual, ties by move index; the witness is the first move
-    sequence in that order, over the whole state, whose every step keeps
-    the optimum by value(). The reconstruction skips a child with fewer
-    than need - 1 uncovered bits, as it cannot be worth need - 1. Its
-    expansions count toward nodes_explored and node_budget like the
-    search's. The search order changes nodes_explored only, never the
-    value or the witness.
+    the best (see the module docstring). A candidate is one int key,
+    residual size << shift | move index, shift = len(masks).bit_length(),
+    so sorted keys are that order; the stop test reads the child's bit
+    count off the key, and only a child the loop reaches is built.
+    Witness order: descending residual size, ties by move index; the
+    witness is the first move sequence in that order, over the whole
+    state, whose every step keeps the optimum by value(), skipping a
+    child with fewer than need - 1 uncovered bits (it cannot be worth
+    need - 1); this walk counts toward nodes_explored and node_budget too.
+    The search order changes nodes_explored only, never value or witness.
 
     twin_classes are the graph's twin classes, for masks that are closed
     neighborhoods (move i holds bit i; see the module docstring): each
@@ -185,6 +187,8 @@ def _longest_sequence(
     reach = _reach_table(masks, full)
     memo: dict[int, int] = {0: 0}
     nodes = 0
+    shift = len(masks).bit_length()
+    index = (1 << shift) - 1
     groups: list[int] = []
     if twin_classes:
         in_class = {i for members in twin_classes for i in members}
@@ -212,31 +216,32 @@ def _longest_sequence(
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(nodes, node_budget)
-        candidates = []
+        keys = []
         for i, mask in (singles if groups else enumerate(masks)):
             residual = mask & free
             if residual:
-                candidates.append((residual.bit_count(), i, free ^ residual))
+                keys.append(residual.bit_count() << shift | i)
         # the live moves, a bound only where every one is a candidate
-        live = None if groups else len(candidates)
+        live = None if groups else len(keys)
         if groups:
             for class_mask in groups:
                 inside = free & class_mask
                 if inside:
                     i = (inside & -inside).bit_length() - 1
-                    residual = masks[i] & free
-                    candidates.append((residual.bit_count(), i, free ^ residual))
+                    keys.append((masks[i] & free).bit_count() << shift | i)
                 covered = class_mask ^ inside
                 if covered:
                     i = (covered & -covered).bit_length() - 1
                     residual = masks[i] & free
                     if residual:
-                        candidates.append((residual.bit_count(), i, free ^ residual))
-        candidates.sort()
+                        keys.append(residual.bit_count() << shift | i)
+        keys.sort()
+        bits = free.bit_count()
         best = 0
-        for _, _, child in candidates:
-            if best > child.bit_count() or best == live:
+        for key in keys:
+            if best > bits - (key >> shift) or best == live:
                 break
+            child = free & ~masks[key & index]
             v = memo.get(child)
             if v is None:
                 v = value(child)

@@ -549,8 +549,13 @@ def _family(name: str, help: str, *params: SweepParam):
     return register
 
 
+# every family builds its random tasks before the first check, at up to
+# about 440 bytes each (bipartite): some 44 MB at the cap
+MAX_RANDOM = 100_000
+
+
 def _random(default: int) -> SweepParam:
-    return SweepParam("random", default, "number of seeded random instances", minimum=0)
+    return SweepParam("random", default, "number of seeded random instances", minimum=0, cap=MAX_RANDOM)
 
 
 def _seed(default: int) -> SweepParam:

@@ -7,7 +7,9 @@ checkout's `src`). Each tree is loaded in its own process, which runs the
 same seeded calls, COUNT seeds per family, and prints one JSON line per
 outcome: its family, a label naming the call and its input, and the
 value, witness order and nodes_explored, or the error class and message.
-The families are G(n, p) with n <= 16, renamed twin blow-ups, renamed
+The families are G(n, p) with n <= 16, `gnp_large` (COUNT // 10 graphs
+G(n, p) with n = 17-20 and p in {0.1, 0.2, 0.3, 0.5}, each solved with
+and without a budget of 20,000 nodes), renamed twin blow-ups, renamed
 chain profiles and their complements, both gadgets, cover and
 transversal with and without node budgets, rho_tau_values, inputs past
 the caps, and `solve` stdout (minus time_ms), stderr and exit code for
@@ -184,6 +186,14 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
         if len(files) < count // 4 and g.n:
             files.append((label, g))
             files.append(("complement of " + label, co))
+
+    # the sizes perfbench's exact workloads run, up to the exact solver's cap
+    for seed in range(count // 10):
+        n, p = 17 + seed % 4, (0.1, 0.2, 0.3, 0.5)[seed // 4 % 4]
+        g = random_graph(n, p, seed)
+        label = f"G({n}, {p}, seed {seed})"
+        emit("gnp_large", "exact " + label, lambda: grundy.grundy_domination_exact(g))
+        emit("gnp_large", "exact budget 20000 " + label, lambda: grundy.grundy_domination_exact(g, node_budget=20_000))
 
     rng = XorShift64Star(20232)
     for seed in range(count):

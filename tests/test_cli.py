@@ -671,6 +671,19 @@ class TestSweep:
         assert out == ""
         assert f"{argv[2]} ({argv[0]} sweep {argv[1][2:].replace('-', '_')}) exceeds the cap of {cap}" in err
 
+    @pytest.mark.usefixtures("memory_limit")
+    def test_random_past_its_cap_builds_no_task(self, capsys, monkeypatch):
+        # the random instances are all built before the first check
+        def no_instances(*args):
+            raise AssertionError("the random instances were built")
+
+        monkeypatch.setattr(sweeps, "random_reduction_hypergraphs", no_instances)
+        cap = sweeps.MAX_RANDOM
+        code, out, err = run(capsys, "sweep", "bipartite", "--random", str(cap + 1))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {cap + 1} (bipartite sweep random) exceeds the cap of {cap}\n"
+
     def test_failures_are_listed_and_exit_4(self, capsys, monkeypatch):
         # the first 50 failure lines are printed, the count covers them all
         lines = [f"gamma: case {i}" for i in range(52)]

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from grundy.cli import main
+from grundy.sweeps import MAX_RANDOM
 
 from .conftest import address_space_cap
 
@@ -168,18 +169,18 @@ SWEEP_OPTIONS = {
         "max-k": (st.integers(1, 2), 1, 4),
         "max-part": (st.integers(1, 2), 1, 5),
         "max-vertices": (st.integers(1, 6), 1, 20),
-        "random": (st.integers(0, 2), 0, None),
+        "random": (st.integers(0, 2), 0, MAX_RANDOM),
         "random-vertices": (st.integers(2, 6), 2, 20),
     },
     "duality": {
         "n-max": (st.integers(1, 3), 1, 7),
         "m-max": (st.integers(1, 3), 1, 5),
-        "random": (st.integers(0, 3), 0, None),
+        "random": (st.integers(0, 3), 0, MAX_RANDOM),
     },
-    "bipartite": {"random": (st.integers(0, 2), 0, None)},
+    "bipartite": {"random": (st.integers(0, 2), 0, MAX_RANDOM)},
     "cobipartite": {
         "n-max": (st.integers(1, 4), 1, 7),
-        "random": (st.integers(0, 2), 0, None),
+        "random": (st.integers(0, 2), 0, MAX_RANDOM),
     },
 }
 seeds = st.one_of(st.integers(-(2**70), 2**70).map(str), not_integers)

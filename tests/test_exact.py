@@ -519,12 +519,31 @@ def _digest_family():
         yield grundy_transversal_exact, h
 
 
-def test_values_and_witnesses_digest():
-    # pins (value, witness) of every call, but not nodes_explored, so a
-    # change to the search order or its pruning must leave this unchanged
-    digest = hashlib.sha256()
+@pytest.fixture(scope="module")
+def digest_results():
+    """(value, witness, nodes_explored) of every call of _digest_family(),
+    run once for both digest tests."""
+    results = []
     for solve, instance in _digest_family():
         res = solve(instance)
         witness = getattr(res.best_sequence, "order", res.best_sequence)
-        digest.update(repr((res.best_length, witness)).encode())
+        results.append((res.best_length, witness, res.nodes_explored))
+    return results
+
+
+def test_values_and_witnesses_digest(digest_results):
+    # pins (value, witness) of every call, but not nodes_explored, so a
+    # change to the search order or its pruning must leave this unchanged
+    digest = hashlib.sha256()
+    for length, witness, _ in digest_results:
+        digest.update(repr((length, witness)).encode())
     assert digest.hexdigest() == "6c07850246559931de99273f645ff6646eea0527368d1abaca0b5741eeb6e722"
+
+
+def test_nodes_explored_digest(digest_results):
+    # pins nodes_explored of every call, so a change that must keep the
+    # search order and its pruning (a faster kernel) leaves this unchanged
+    digest = hashlib.sha256()
+    for _, _, nodes in digest_results:
+        digest.update(repr(nodes).encode())
+    assert digest.hexdigest() == "81c03e2355221688f65431b46e25101f574eef79c2866f40bb21c11a8986ddcc"
