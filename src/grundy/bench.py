@@ -26,6 +26,9 @@ DEFAULT_SHAPE = "*,1,1,1x1,1,1,1"
 # run_bench holds every instance at once: at most this many vertices in all
 MAX_TOTAL_VERTICES = 1 << 23
 
+# run_bench keeps every timing, a float and its list slot (32 bytes): 32 MB at the cap
+MAX_TIMED_RUNS = 10**6
+
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -74,8 +77,8 @@ def run_bench(sizes=DEFAULT_SIZES, repeats: int = 5, shape: str = DEFAULT_SHAPE)
     sizes alike instead of on one size's whole block of repeats; the
     doubling ratios compare times taken close together.
 
-    A size above graph.MAX_FILE_VERTICES, or sizes that add up to more
-    than MAX_TOTAL_VERTICES, raise SizeCapError before anything is built.
+    More than graph.MAX_FILE_VERTICES per size, MAX_TOTAL_VERTICES in all
+    or MAX_TIMED_RUNS timed runs raise SizeCapError before anything is built.
     """
     for n in sizes:
         if n > MAX_FILE_VERTICES:
@@ -83,6 +86,9 @@ def run_bench(sizes=DEFAULT_SIZES, repeats: int = 5, shape: str = DEFAULT_SHAPE)
     total = sum(sizes)
     if total > MAX_TOTAL_VERTICES:
         raise SizeCapError(total, MAX_TOTAL_VERTICES, what="vertices (bench sizes in all)")
+    runs = len(sizes) * repeats
+    if runs > MAX_TIMED_RUNS:
+        raise SizeCapError(runs, MAX_TIMED_RUNS, what="timed runs (bench sizes times repeats)")
     graphs = [chain_from_profile(bench_profile(n, shape)) for n in sizes]
     times: list[list[float]] = [[] for _ in graphs]
     gammas = [0] * len(graphs)

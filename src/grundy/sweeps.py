@@ -19,9 +19,10 @@ transversal numbers as their deduplicated form. Both numbers are also
 unchanged by relabelling the vertices, so the sweep checks one hypergraph
 per isomorphism class (edge_set_orbits) and counts it as many times as
 the class has labelled members; `checked` is still the number of labelled
-hypergraphs covered; the co-bipartite sweep does likewise for graphs,
-whose gadgets relabel with them, and the chain sweep runs its exact
-solvers once per isomorphism class of profiles (chain_sweep).
+hypergraphs covered. The gadget sweeps, whose gadgets relabel with their
+sources, do likewise for graphs and for edge multisets (a repeated edge
+gets its own vertex pair), and the chain sweep runs its exact solvers
+once per isomorphism class of profiles (chain_sweep).
 """
 from __future__ import annotations
 
@@ -73,7 +74,6 @@ __all__ = [
     "duality_exhaustive_sweep",
     "edge_set_orbits",
     "duality_random_sweep",
-    "exhaustive_hypergraphs",
     "random_reduction_hypergraphs",
     "random_reduction_graphs",
 ]
@@ -268,46 +268,50 @@ def _brute_max_len(masks: tuple[int, ...], full: int) -> int:
 MAX_ORBIT_VERTICES = 7
 
 
-def edge_set_orbits(n: int, m_max: int, elements):
-    """Yield (masks, orbit_size) once per isomorphism class of the sets of
-    at most m_max masks drawn from elements, the empty set first.
+def edge_set_orbits(n: int, m_max: int, elements, repeats: bool = False):
+    """Yield (masks, orbit_size) once per isomorphism class of the sets
+    (with repeats, multisets) of at most m_max masks drawn from elements,
+    the empty set first.
 
     elements are sorted non-zero masks on n vertices, closed under
     relabelling: all non-empty masks for hypergraphs, 2-vertex ones for
     graphs. masks is the class's lexicographically smallest sorted tuple;
     orbit_size = n!/|Aut| is the number of labelled sets in the class.
 
-    Orderly generation (Read; McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998): a set grows only by elements
-    larger than its last, and is kept only if no vertex permutation maps it
-    to a smaller sorted tuple. Dropping the last mask of a minimal tuple
-    leaves a minimal tuple, so a rejected set has no kept descendant.
+    Orderly generation (Read; McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): a set grows only by elements larger than its
+    last (with repeats, no smaller), and is kept only if no vertex
+    permutation maps it to a smaller sorted tuple. Dropping the last mask of
+    a minimal tuple leaves one (tuples of one length compare at the least
+    value whose count differs), so a rejected set has no kept descendant.
 
-    The test is incremental. For a kept set T and a permutation p, either
-    p fixes T (an automorphism), or sorted(p(T)) first exceeds T at some
-    position i, and T[i] is the threshold of p. Adding d > max(T):
+    The test is incremental. For a kept set T and a permutation p, either p
+    fixes T (an automorphism), or sorted(p(T)) first exceeds T at some
+    position i, and T[i] is the threshold of p. Adding a d that T grows by:
 
     - an automorphism p rejects d when p(d) < d, stays one when
       p(d) == d, and otherwise takes the threshold d;
     - a permutation with threshold t rejects d when p(d) < t and keeps t
       when p(d) > t; only p(d) == t needs the full comparison.
 
-    So a threshold t of p rejects the precomputed bit set below[p][t], and
-    a child inherits its parent's thresholds with the masks they reject;
-    only its new thresholds and its automorphisms add to that. (A tie
-    that turns p into an automorphism leaves below[p][t] held; each mask
-    above t that it rejects has p(d) < t < d, so the automorphism rule
-    rejects it as well.) Pending ties are kept by the mask d that would
-    meet them. All of this holds for any such elements: each image and
-    preimage of an element is one, so relabelled sets and the masks that
-    meet ties stay among them. The tables (n! rows of 2^n) are per call;
-    an n above MAX_ORBIT_VERTICES raises SizeCapError before any is built.
+    So a threshold t of p rejects the precomputed bit set below[p][t], and a
+    child inherits its parent's thresholds with the masks they reject; only
+    its new thresholds and its automorphisms add to that. (A tie that turns
+    p into an automorphism leaves below[p][t] held; each mask d >= t that it
+    rejects has p(d) < t <= d, so the automorphism rule rejects it as well.)
+    Pending ties are kept by the mask d that would meet them; adding d meets
+    them all, so a child keeps the larger keys and its fresh ties, which a
+    repeat of d may meet. All of this holds for any such elements: each
+    image and preimage of an element is one, so relabelled sets and the
+    masks that meet ties stay among them. The tables (n! rows of 2^n) are
+    per call; n > MAX_ORBIT_VERTICES raises SizeCapError before any is built.
     """
     if n > MAX_ORBIT_VERTICES:
         raise SizeCapError(n, MAX_ORBIT_VERTICES, what="vertices (edge_set_orbits)")
     yield (), 1
     if m_max < 1:
         return
+    step = 0 if repeats else 1  # with repeats, a set may grow by its last mask again
     size = 1 << n
     perms = list(itertools.permutations(range(n)))
     images = []  # images[p][mask]: the mask relabelled by p
@@ -362,7 +366,7 @@ def edge_set_orbits(n: int, m_max: int, elements):
                         child_held |= below[p][t]
                         x = preimages[p][t]
                         child_ties[x] = child_ties.get(x, ()) + ((p, t),)
-                    yield from grow(child, i + 1, child_automorphisms, child_held, child_ties)
+                    yield from grow(child, i + step, child_automorphisms, child_held, child_ties)
 
     yield from grow((), 0, list(range(len(perms))), 0, {})
 
@@ -439,21 +443,6 @@ def duality_random_sweep(count: int, seed: int, jobs: int | None = None) -> Swee
 # ---- gadget equivalence ----------------------------------------------------
 
 
-def exhaustive_hypergraphs() -> list[Hypergraph]:
-    """Every edge multiset (duplicates allowed, order canonical) covering
-    the ground set, with 2..4 vertices and 2 or 3 edges. Duplicates matter
-    here: the gadget gets one vertex pair per edge occurrence. Multisets would
-    need edge_set_orbits to take repeats (masks >= the last, with ties at d
-    kept pending), a rule for this family alone, so it stays a labelled loop."""
-    out = []
-    for n in (2, 3, 4):
-        for m in (2, 3):
-            for combo in itertools.combinations_with_replacement(range(1, 1 << n), m):
-                if reduce(or_, combo) == (1 << n) - 1:
-                    out.append(Hypergraph(n, [_mask_to_edge(mask) for mask in combo]))
-    return out
-
-
 def random_reduction_hypergraphs(count: int, seed: int) -> list[Hypergraph]:
     """Seeded random hypergraphs with 2..5 vertices and 2..4 edges."""
     rng = XorShift64Star(seed)
@@ -465,15 +454,17 @@ def random_reduction_hypergraphs(count: int, seed: int) -> list[Hypergraph]:
     return out
 
 
-def _bipartite_case(h: Hypergraph):
-    """gamma of the bipartite gadget must exceed n+m by exactly rho."""
+def _bipartite_case(task):
+    """gamma of the bipartite gadget must exceed n+m by exactly rho, on a
+    hypergraph that stands for `count` labelled ones, one failure line each."""
+    h, count = task
     rho = grundy_cover_exact(h).best_length
     gadget = hypergraph_to_bipartite(h)
     gamma = grundy_domination_exact(gadget.target).best_length
     expected = h.n + h.m + rho
     if gamma != expected:
-        return 1, [f"n={h.n} edges={h.edges}: gamma={gamma} expected {expected}"]
-    return 1, []
+        return count, [f"n={h.n} edges={h.edges}: gamma={gamma} expected {expected}"] * count
+    return count, []
 
 
 def random_reduction_graphs(count: int, seed: int) -> list[Graph]:
@@ -550,7 +541,7 @@ def _family(name: str, help: str, *params: SweepParam):
 
 
 # every family builds its random tasks before the first check, at up to
-# about 440 bytes each (bipartite): some 44 MB at the cap
+# about 500 bytes each (bipartite, tracemalloc peak): some 50 MB at the cap
 MAX_RANDOM = 100_000
 
 
@@ -600,8 +591,15 @@ def _duality_family(jobs, n_max, m_max, random, seed):
     _seed(23),
 )
 def _bipartite_family(jobs, random, seed):
-    hypergraphs = exhaustive_hypergraphs() + random_reduction_hypergraphs(random, seed)
-    return _run(_bipartite_case, hypergraphs, jobs, chunksize=4)
+    # every edge multiset covering 2..4 vertices with 2 or 3 edges: 80 classes of 522
+    tasks = [
+        (Hypergraph(n, map(_mask_to_edge, masks)), count)
+        for n in (2, 3, 4)
+        for masks, count in edge_set_orbits(n, 3, range(1, 1 << n), repeats=True)
+        if len(masks) >= 2 and reduce(or_, masks) == (1 << n) - 1
+    ]
+    tasks += [(h, 1) for h in random_reduction_hypergraphs(random, seed)]
+    return _run(_bipartite_case, tasks, jobs, chunksize=4)
 
 
 @_family(

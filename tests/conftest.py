@@ -7,7 +7,9 @@ ground truth for the solvers.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
+import operator
 import os
 
 import pytest
@@ -200,6 +202,19 @@ def exhaustive_graphs(n_max: int) -> list[Graph]:
         for bits in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             out.append(Graph.from_edges(n, edges))
+    return out
+
+
+def exhaustive_hypergraphs() -> list[Hypergraph]:
+    """Every labelled edge multiset (order canonical) covering the ground
+    set, with 2..4 vertices and 2 or 3 edges: the bipartite sweep's
+    exhaustive family."""
+    out = []
+    for n in (2, 3, 4):
+        for m in (2, 3):
+            for combo in itertools.combinations_with_replacement(range(1, 1 << n), m):
+                if functools.reduce(operator.or_, combo) == (1 << n) - 1:
+                    out.append(Hypergraph(n, [[v for v in range(n) if mask >> v & 1] for mask in combo]))
     return out
 
 

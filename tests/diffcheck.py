@@ -16,7 +16,8 @@ the caps, and `solve` stdout (minus time_ms), stderr and exit code for
 every --method on graph files. The `cli_args` family, a fixed list
 whatever COUNT is, compares the exit code, stdout and stderr of `sweep`,
 `gen` and `bench` with each option just past its limit or no integer,
-and of two tiny legal sweeps.
+and of three small legal sweeps, the last the whole exhaustive bipartite
+family.
 
 Calls of grundy_cochain (and `solve --method cochain`) on a graph with a
 universal vertex form their own families, `cochain_universal` and
@@ -112,11 +113,11 @@ def _graph_cases(count):
 
 # each sweep option's (minimum, cap); None where it has none
 SWEEP_LIMITS = {
-    "chain": {"max-k": (1, 4), "max-part": (1, 5), "max-vertices": (1, 20), "random": (0, None),
+    "chain": {"max-k": (1, 4), "max-part": (1, 5), "max-vertices": (1, 20), "random": (0, 100000),
               "random-vertices": (2, 20), "seed": (None, None)},
-    "duality": {"n-max": (1, 7), "m-max": (1, 5), "random": (0, None), "seed": (None, None)},
-    "bipartite": {"random": (0, None), "seed": (None, None)},
-    "cobipartite": {"n-max": (1, 7), "random": (0, None), "seed": (None, None)},
+    "duality": {"n-max": (1, 7), "m-max": (1, 5), "random": (0, 100000), "seed": (None, None)},
+    "bipartite": {"random": (0, 100000), "seed": (None, None)},
+    "cobipartite": {"n-max": (1, 7), "random": (0, 100000), "seed": (None, None)},
 }
 
 
@@ -137,6 +138,7 @@ def _cli_args(out: str) -> list[list[str]]:
         ["bench", "--sizes", "4194305"],
         ["sweep", "duality", "--n-max", "2", "--m-max", "2", "--random", "2"],
         ["sweep", "cobipartite", "--n-max", "3", "--random", "1", "--jobs", "1"],
+        ["sweep", "bipartite", "--random", "2", "--jobs", "1"],
     ]
     return argvs
 

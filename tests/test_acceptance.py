@@ -71,7 +71,7 @@ def test_criterion_4_bipartite_reduction_equivalence():
     assert outcome.failures == []
     print(
         f"\nCRITERION 4 (bipartite gadget equivalence): PASS on {outcome.checked} "
-        "instances (522 exhaustive + 200 random)"
+        "instances (522 exhaustive, checked on 80 isomorphism classes, + 200 random)"
     )
 
 

@@ -458,7 +458,8 @@ class TestBench:
 
 @pytest.mark.usefixtures("memory_limit")
 class TestBenchCap:
-    """Oversized bench sizes exit 3 before any instance is built."""
+    """Oversized bench sizes, and more timed runs than bench keeps, exit 3
+    before any instance is built."""
 
     @pytest.mark.parametrize(
         "sizes, what, cap",
@@ -469,11 +470,25 @@ class TestBenchCap:
         ],
     )
     def test_refused(self, capsys, monkeypatch, sizes, what, cap):
+        self.assert_refused(capsys, monkeypatch, ["--sizes", sizes], what, cap)
+
+    @pytest.mark.parametrize(
+        "sizes, repeats",
+        [("8", bench_mod.MAX_TIMED_RUNS + 1), ("8,16", bench_mod.MAX_TIMED_RUNS // 2 + 1), ("8", 10**30)],
+    )
+    def test_too_many_timed_runs(self, capsys, monkeypatch, sizes, repeats):
+        runs = len(sizes.split(",")) * repeats
+        argv = ["--sizes", sizes, "--repeats", str(repeats)]
+        what = f"{runs} timed runs (bench sizes times repeats)"
+        self.assert_refused(capsys, monkeypatch, argv, what, bench_mod.MAX_TIMED_RUNS)
+
+    @staticmethod
+    def assert_refused(capsys, monkeypatch, argv, what, cap):
         def no_generator(*args):
             raise AssertionError("the generator ran")
 
         monkeypatch.setattr(bench_mod, "chain_from_profile", no_generator)
-        code, out, err = run(capsys, "bench", "--sizes", sizes)
+        code, out, err = run(capsys, "bench", *argv)
         assert code == 3
         assert out == ""
         assert err == f"error: {what} exceeds the cap of {cap}\n"

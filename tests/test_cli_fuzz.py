@@ -18,6 +18,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from grundy.bench import MAX_TIMED_RUNS
 from grundy.cli import main
 from grundy.sweeps import MAX_RANDOM
 
@@ -205,7 +206,7 @@ def option_lines(draw, tmp_path):
         # without --sizes the bench would time its default 2^15..2^20 vertices
         argv = ["bench", f"--sizes={draw(bench_sizes)}", f"--shape={draw(shapes)}"]
         if draw(st.booleans()):
-            argv.append(f"--repeats={draw(integer_option(st.integers(1, 2), 1))}")
+            argv.append(f"--repeats={draw(integer_option(st.integers(1, 2), 1, MAX_TIMED_RUNS))}")
         if draw(st.booleans()):
             argv.append("--machine")
         return argv

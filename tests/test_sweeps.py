@@ -17,7 +17,6 @@ import pytest
 from grundy import (
     ChainProfile,
     ChainStructure,
-    Hypergraph,
     InputError,
     SizeCapError,
     VertexSequence,
@@ -37,7 +36,7 @@ from grundy.sweeps import (
     exhaustive_profiles,
 )
 
-from .conftest import exhaustive_graphs, relabel_masks
+from .conftest import exhaustive_graphs, exhaustive_hypergraphs, relabel_masks
 
 PROFILES = [ChainProfile((1,), (1,)), ChainProfile((1, 2), (2, 1))]
 
@@ -286,20 +285,26 @@ class TestWorkerFailureLines:
         )
 
     def test_bipartite(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=0))
+        # a wrong rho on every 2-vertex source: each class's line repeats
+        # once per labelled multiset it stands for, a random one's once
+        real = sweeps.grundy_cover_exact
         monkeypatch.setattr(
-            sweeps, "exhaustive_hypergraphs", lambda: [Hypergraph(2, [[0], [1]]), Hypergraph(3, [[0, 1], [1, 2]])]
+            sweeps, "grundy_cover_exact", lambda h: SimpleNamespace(best_length=-1) if h.n == 2 else real(h)
         )
         outcome = FAMILIES["bipartite"].run(random=2, seed=23)
-        assert (outcome.checked, outcome.failures) == (
-            4,
-            [
-                "n=2 edges=((0,), (1,)): gamma=0 expected 6",
-                "n=3 edges=((0, 1), (1, 2)): gamma=0 expected 7",
-                "n=4 edges=((1, 2, 3), (0, 1), (0, 1)): gamma=0 expected 9",
-                "n=2 edges=((1,), (0,), (1,)): gamma=0 expected 7",
-            ],
-        )
+        lines = [
+            ("n=2 edges=((0,), (0,), (1,)): gamma=7 expected 4", 2),
+            ("n=2 edges=((0,), (0,), (0, 1)): gamma=7 expected 4", 2),
+            ("n=2 edges=((0,), (1,)): gamma=6 expected 3", 1),
+            ("n=2 edges=((0,), (1,), (0, 1)): gamma=7 expected 4", 1),
+            ("n=2 edges=((0,), (0, 1)): gamma=6 expected 3", 2),
+            ("n=2 edges=((0,), (0, 1), (0, 1)): gamma=7 expected 4", 2),
+            ("n=2 edges=((0, 1), (0, 1)): gamma=5 expected 3", 1),
+            ("n=2 edges=((0, 1), (0, 1), (0, 1)): gamma=6 expected 4", 1),
+            ("n=2 edges=((1,), (0,), (1,)): gamma=7 expected 4", 1),
+        ]
+        assert outcome.checked == 522 + 2
+        assert outcome.failures == [line for line, count in lines for _ in range(count)]
 
     def test_cobipartite(self, monkeypatch):
         monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=g.n))
@@ -337,12 +342,22 @@ class TestEdgeSetOrbits:
             reached.update(images)
         assert reached == set(labelled)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_labelled_set_has_one_representative(self, n):
-        m_max = 5
+    @pytest.mark.parametrize(
+        "n, repeats",
+        [pytest.param(n, r, id=f"{n}-repeats" if r else str(n)) for r in (False, True) for n in (1, 2, 3, 4)],
+    )
+    def test_every_labelled_set_has_one_representative(self, n, repeats):
+        m_max = 4 if repeats else 5  # with repeats, 3,060 multisets of 4 masks at n = 4
         masks = range(1, 1 << n)
-        labelled = [c for m in range(m_max + 1) for c in itertools.combinations(masks, m)]
-        self.assert_one_representative_each(n, list(edge_set_orbits(n, m_max, masks)), labelled)
+        choose = itertools.combinations_with_replacement if repeats else itertools.combinations
+        labelled = [c for m in range(m_max + 1) for c in choose(masks, m)]
+        yielded = list(edge_set_orbits(n, m_max, masks, repeats=repeats))
+        self.assert_one_representative_each(n, yielded, labelled)
+
+    def test_every_labelled_multigraph_has_one_representative(self):
+        pairs = pair_masks(4)
+        labelled = [c for m in range(6) for c in itertools.combinations_with_replacement(pairs, m)]
+        self.assert_one_representative_each(4, list(edge_set_orbits(4, 5, pairs, repeats=True)), labelled)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_labelled_graph_has_one_representative(self, n):
@@ -395,3 +410,15 @@ class TestEdgeSetOrbits:
         classes = self.covering_classes(monkeypatch, 6, 3)
         counts = Counter(len(masks) for n, masks, _ in classes if n == 6)
         assert counts == {1: 1, 2: 14, 3: 154}
+
+    def test_bipartite_classes_cover_the_labelled_multisets(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sweeps, "_bipartite_case", lambda task: seen.append(task) or (task[1], []))
+        FAMILIES["bipartite"].run(random=0)
+        classes, sizes = Counter(), Counter()
+        for h, count in seen:
+            classes[h.n, h.m] += 1
+            sizes[h.n, h.m] += count
+        assert classes == {(2, 2): 3, (2, 3): 5, (3, 2): 5, (3, 3): 17, (4, 2): 8, (4, 3): 42}
+        assert sizes == Counter((h.n, h.m) for h in exhaustive_hypergraphs())
+        assert sum(sizes.values()) == 522
