@@ -41,7 +41,7 @@ from .sequences import (
     parse_sequence,
 )
 from .exact import (
-    HARD_CAP,
+    MAX_SEARCH_SIZE,
     SearchResult,
     grundy_cover_exact,
     grundy_domination_exact,

@@ -2,9 +2,9 @@
 
 The CLI parses arguments and prints reports. Each limit it applies is
 checked in one module: `gen`'s sizes here, file headers in `graph` and
-`hypergraph`, gadget sizes in `reductions`, the exact search's cap in
-`exact`, bench sizes in `bench`, and sweep option values, the worker pool
-and the orbit generator's vertex bound in `sweeps`.
+`hypergraph`, gadget sizes in `reductions`, the exact search's size bound
+and node budget in `exact`, bench sizes in `bench`, and sweep option
+values, the worker pool and the orbit generator's bound in `sweeps`.
 
 Exit codes: 0 success, 2 input error, 3 size or budget cap, 4 internal
 verification failure, 5 requested method does not apply to the instance.
@@ -31,7 +31,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .exact import grundy_domination_exact
+from .exact import NODE_BUDGET, grundy_domination_exact
 from .generators import (
     ChainProfile,
     chain_from_profile,
@@ -76,7 +76,7 @@ def _exact(g, budget):
 
 # --method: each solver returns the witness, the chain structure or None,
 # and its report pairs. Auto mode takes the first whose class holds the
-# graph, in this order; the exact solver takes any graph within its cap.
+# graph, in this order; the exact solver takes any graph within its size bound.
 SOLVERS = {"chain": _chain, "cochain": _cochain, "exact": _exact}
 
 
@@ -91,7 +91,7 @@ def _solve(g, method: str, budget):
             return name, *solve(g, budget)
         except (NotChainGraphError, IsolatedVertexError):
             pass
-        except SizeCapError as exc:  # only the exact solver has a size cap
+        except SizeCapError as exc:  # only the exact solver has a size bound
             raise SizeCapError(
                 exc.actual,
                 exc.limit,
@@ -274,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute gamma_gr of a graph file")
     p.add_argument("path")
     p.add_argument("--method", choices=["auto", "exact", "chain", "cochain"], default="auto")
-    p.add_argument(
-        "--budget", type=_positive_int, default=None, help="node budget for the exact solver"
-    )
+    budget_help = "node budget for the exact solver (default %(default)s)"
+    p.add_argument("--budget", type=_positive_int, default=NODE_BUDGET, help=budget_help)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=cmd_solve)
 

@@ -65,7 +65,7 @@ class IllegalStepError(GrundyError):
 
 
 class SizeCapError(GrundyError):
-    """Instance exceeds the hard size cap of an exponential-time routine."""
+    """An input exceeds a size cap, checked before anything sized by it is built."""
 
     def __init__(self, actual: int, limit: int, what: str = "vertices"):
         super().__init__(f"{actual} {what} exceeds the cap of {limit}")

@@ -38,15 +38,26 @@ connected components of that relation. A move's residual (its mask
 within the uncovered set) lies inside one component, so a move changes
 one component only and its legality depends on that component alone.
 The move sequences of different components therefore interleave freely,
-and the value of a set is the sum of its components' values. The engine
-finds the component of the lowest uncovered bit from a precomputed
-reach[b] (bit b together with every mask containing it): connected
-states pay one AND. A set that splits is valued as value(component) +
-value(rest) and memoized under its own mask like any other; the
-reconstruction of the witness still walks the whole state in the witness
-order and asks value() only, so the witness is the one an unsplit search
-finds. nodes_explored counts expansions of connected sets, and so does
-node_budget.
+and the value of a set is the sum of its components' values; finding
+the component of the lowest uncovered bit costs a connected state one
+AND on a reach table. A set that splits is valued as value(component) +
+value(rest) and memoized under its own mask; the witness reconstruction
+still walks the whole state in the witness order and asks value() only,
+so the witness is the one an unsplit search finds.
+
+One budget bounds every search: node_budget, NODE_BUDGET = 2^20 by
+default, counts expansions of connected sets, as nodes_explored does.
+The search and the witness reconstruction share the memo, so no set is
+expanded twice and a search over b bits expands fewer than 2^b sets: no
+graph or independence search on at most 20 vertices (the latter counts
+memo misses) and no transversal search on at most 20 edges runs out. A
+cover search expands components of sets an edge set S leaves uncovered,
+at most one per edge outside S: at most m * 2^(m - 1) on m edges. Grundy
+domination is NP-complete on bipartite and co-bipartite graphs, so the
+budget bounds the work, not n. MAX_SEARCH_SIZE bounds what one search
+holds: value() recurses once per uncovered bit and each expansion scans
+every move, so using up the budget on G(64, p) takes tens of seconds. Graph
+searches check it on vertices before any mask is built, the others on edges.
 
 Why twin classes cut the moves tried: vertices with equal open or closed
 neighborhoods (twins) are interchangeable. For any uncovered set,
@@ -56,37 +67,26 @@ the other's, so the two moves have children of equal value. The graph
 search therefore offers, per class, only its lowest uncovered and its
 lowest covered member. That is exact on any uncovered set, so the
 witness reconstruction asks value() about the real children it walks.
-It offers fewer moves than are live, so it keeps only the bit-count
-bound, which needs no count of the moves skipped: every uncovered
-vertex's own move is live, so min(uncovered bits, live moves) is the
-bit count.
-
-The cover and transversal searches take no classes and try every move.
+Its bound is the bit count, since every uncovered vertex's own move is
+live. The cover and transversal searches take no classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    BudgetExceededError,
-    IsolatedVertexError,
-    SizeCapError,
-)
+from .errors import BudgetExceededError, IsolatedVertexError, SizeCapError
 from .graph import Graph
 from .hypergraph import Hypergraph, is_edge_cover, is_legal_edge_sequence, is_legal_transversal_sequence
 from .sequences import VertexSequence, quick_verify, verified_witness
 
 __all__ = [
-    "HARD_CAP",
-    "SearchResult",
-    "grundy_domination_exact",
-    "grundy_cover_exact",
-    "grundy_transversal_exact",
-    "independence_number_exact",
+    "MAX_SEARCH_SIZE", "NODE_BUDGET", "SearchResult", "grundy_domination_exact",
+    "grundy_cover_exact", "grundy_transversal_exact", "independence_number_exact",
 ]
 
-HARD_CAP = 20
+NODE_BUDGET = 1 << 20
+MAX_SEARCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,8 @@ class SearchResult:
     best_sequence is a VertexSequence without footprints for graph
     domination and a tuple of move indices (edges or vertices) for the
     hypergraph variants; it always passes the independent checkers, through
-    verified_witness, before being returned.
-    nodes_explored counts the connected uncovered sets the search and the
-    witness reconstruction expanded.
+    verified_witness, before being returned. nodes_explored counts the
+    connected uncovered sets the search and the witness reconstruction expanded.
     """
 
     best_length: int
@@ -123,8 +122,7 @@ def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
     """
     open_groups: dict[int, list[int]] = {}
     closed_groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        closed = _closed_mask(g, v)
+    for v, closed in enumerate(_closed_masks(g)):
         open_groups.setdefault(closed ^ 1 << v, []).append(v)
         closed_groups.setdefault(closed, []).append(v)
     return sorted(
@@ -155,7 +153,7 @@ def _longest_sequence(
     masks: Sequence[int],
     full: int,
     twin_classes: list[tuple[int, ...]] | None = None,
-    node_budget: int | None = None,
+    node_budget: int = NODE_BUDGET,
     want_witness: bool = True,
 ):
     """Longest sequence of moves in which every move adds a new bit.
@@ -214,7 +212,7 @@ def _longest_sequence(
                 memo[free] = total
                 return total
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes > node_budget:
             raise BudgetExceededError(nodes, node_budget)
         keys = []
         for i, mask in (singles if groups else enumerate(masks)):
@@ -277,49 +275,50 @@ def _longest_sequence(
 # ---- public solvers --------------------------------------------------------
 
 
-def grundy_domination_exact(g: Graph, node_budget: int | None = None) -> SearchResult:
+def grundy_domination_exact(g: Graph, node_budget: int = NODE_BUDGET) -> SearchResult:
     """Maximum length of a dominating sequence, by exhaustive search.
 
-    Raises SizeCapError beyond HARD_CAP vertices and BudgetExceededError
+    Raises SizeCapError beyond MAX_SEARCH_SIZE vertices and BudgetExceededError
     when node_budget runs out; never returns a silent lower bound.
     """
-    if g.n > HARD_CAP:
-        raise SizeCapError(g.n, HARD_CAP)
-    masks = [_closed_mask(g, v) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    length, moves, nodes = _longest_sequence(masks, full, graph_twin_classes(g), node_budget)
+    masks = _closed_masks(g)
+    length, moves, nodes = _longest_sequence(masks, (1 << g.n) - 1, graph_twin_classes(g), node_budget)
     order = verified_witness(moves, length, lambda o: all(quick_verify(g, o)), "exact sequence")
     return SearchResult(length, VertexSequence(order), nodes)
 
 
-def _closed_mask(g: Graph, v: int) -> int:
-    mask = 1 << v
-    for u in g.adjacency[v]:
-        mask |= 1 << u
-    return mask
+def _closed_masks(g: Graph) -> list[int]:
+    """Closed neighborhoods as bitmasks, refused past MAX_SEARCH_SIZE vertices before any is built."""
+    if g.n > MAX_SEARCH_SIZE:
+        raise SizeCapError(g.n, MAX_SEARCH_SIZE)
+    masks = []
+    for v, row in enumerate(g.adjacency):
+        mask = 1 << v
+        for u in row:
+            mask |= 1 << u
+        masks.append(mask)
+    return masks
 
 
-def grundy_cover_exact(h: Hypergraph, node_budget: int | None = None) -> SearchResult:
+def grundy_cover_exact(h: Hypergraph, node_budget: int = NODE_BUDGET) -> SearchResult:
     """Maximum length of an edge covering sequence, by exhaustive search."""
-    if h.m > HARD_CAP:
-        raise SizeCapError(h.m, HARD_CAP, what="edges")
+    if h.m > MAX_SEARCH_SIZE:
+        raise SizeCapError(h.m, MAX_SEARCH_SIZE, what="edges")
     isolated = h.isolated_vertices()
     if isolated:
         raise IsolatedVertexError(isolated[0], "every vertex must lie in some edge")
-    full = (1 << h.n) - 1
-    length, moves, nodes = _longest_sequence(h.edge_masks, full, node_budget=node_budget)
+    length, moves, nodes = _longest_sequence(h.edge_masks, (1 << h.n) - 1, node_budget=node_budget)
     order = verified_witness(
         moves, length, lambda o: is_legal_edge_sequence(h, o) and is_edge_cover(h, o), "edge sequence"
     )
     return SearchResult(length, order, nodes)
 
 
-def grundy_transversal_exact(h: Hypergraph, node_budget: int | None = None) -> SearchResult:
+def grundy_transversal_exact(h: Hypergraph, node_budget: int = NODE_BUDGET) -> SearchResult:
     """Maximum length of a legal transversal sequence, by exhaustive search."""
-    if h.m > HARD_CAP:
-        raise SizeCapError(h.m, HARD_CAP, what="edges")
-    full = (1 << h.m) - 1
-    length, moves, nodes = _longest_sequence(h.vertex_masks, full, node_budget=node_budget)
+    if h.m > MAX_SEARCH_SIZE:
+        raise SizeCapError(h.m, MAX_SEARCH_SIZE, what="edges")
+    length, moves, nodes = _longest_sequence(h.vertex_masks, (1 << h.m) - 1, node_budget=node_budget)
     order = verified_witness(
         moves, length, lambda o: is_legal_transversal_sequence(h, o), "transversal sequence"
     )
@@ -327,18 +326,19 @@ def grundy_transversal_exact(h: Hypergraph, node_budget: int | None = None) -> S
 
 
 def independence_number_exact(g: Graph) -> int:
-    """Brute-force maximum independent set size."""
-    if g.n > HARD_CAP:
-        raise SizeCapError(g.n, HARD_CAP)
-    reach = [_closed_mask(g, v) for v in range(g.n)]
-    memo: dict[int, int] = {}
+    """Brute-force maximum independent set size; memo misses count against NODE_BUDGET."""
+    reach = _closed_masks(g)
+    memo = {0: 0}
+    misses = 0
 
     def best(avail: int) -> int:
-        if avail == 0:
-            return 0
+        nonlocal misses
         cached = memo.get(avail)
         if cached is not None:
             return cached
+        misses += 1
+        if misses > NODE_BUDGET:
+            raise BudgetExceededError(misses, NODE_BUDGET)
         v = (avail & -avail).bit_length() - 1
         result = max(best(avail & ~(1 << v)), 1 + best(avail & ~reach[v]))
         memo[avail] = result

@@ -17,6 +17,12 @@ import pytest
 from grundy import Graph, Hypergraph, sweeps
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "timing: a wall-clock gate; tests.untested_lines runs it with its tracer off"
+    )
+
+
 @contextlib.contextmanager
 def address_space_cap(headroom: int = 512 << 20):
     """Cap this process's address space at headroom bytes above its current

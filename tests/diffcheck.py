@@ -11,13 +11,14 @@ The families are G(n, p) with n <= 16, `gnp_large` (COUNT // 10 graphs
 G(n, p) with n = 17-20 and p in {0.1, 0.2, 0.3, 0.5}, each solved with
 and without a budget of 20,000 nodes), renamed twin blow-ups, renamed
 chain profiles and their complements, both gadgets, cover and
-transversal with and without node budgets, rho_tau_values, inputs past
-the caps, and `solve` stdout (minus time_ms), stderr and exit code for
-every --method on graph files. The `cli_args` family, a fixed list
-whatever COUNT is, compares the exit code, stdout and stderr of `sweep`,
-`gen` and `bench` with each option just past its limit or no integer,
-and of three small legal sweeps, the last the whole exhaustive bipartite
-family.
+transversal with and without node budgets, rho_tau_values, `caps`
+(inputs at and past the exact search's size bound of 64 and past the
+gadget caps), and `solve` stdout (minus time_ms), stderr and exit code for
+every --method on graph files (`solve_caps` for the paths of `caps`).
+The `cli_args` family, a fixed list whatever COUNT is, compares the exit
+code, stdout and stderr of `sweep`, `gen` and `bench` with each option
+just past its limit or no integer, and of three small legal sweeps, the
+last the whole exhaustive bipartite family.
 
 Calls of grundy_cochain (and `solve --method cochain`) on a graph with a
 universal vertex form their own families, `cochain_universal` and
@@ -113,8 +114,8 @@ def _graph_cases(count):
 
 # each sweep option's (minimum, cap); None where it has none
 SWEEP_LIMITS = {
-    "chain": {"max-k": (1, 4), "max-part": (1, 5), "max-vertices": (1, 20), "random": (0, 100000),
-              "random-vertices": (2, 20), "seed": (None, None)},
+    "chain": {"max-k": (1, 4), "max-part": (1, 5), "max-vertices": (1, None), "random": (0, 100000),
+              "random-vertices": (2, None), "seed": (None, None)},
     "duality": {"n-max": (1, 7), "m-max": (1, 5), "random": (0, 100000), "seed": (None, None)},
     "bipartite": {"random": (0, 100000), "seed": (None, None)},
     "cobipartite": {"n-max": (1, 7), "random": (0, 100000), "seed": (None, None)},
@@ -144,7 +145,10 @@ def _cli_args(out: str) -> list[list[str]]:
 
 
 # the families whose outcome is [exit code, stdout, stderr]
-CLI_FAMILIES = {"solve", "solve_cochain_universal", "cli_args"}
+CLI_FAMILIES = {"solve", "solve_caps", "solve_cochain_universal", "cli_args"}
+
+# grundy.exact.MAX_SEARCH_SIZE; a literal, so that every tree runs the same calls
+SEARCH_BOUND = 64
 
 
 def _run_cli(cli, argv) -> tuple[int, str, str]:
@@ -186,10 +190,10 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
             emit("gadgets", "co-bipartite gadget " + label, lambda: gadget)
             emit("gadgets", "exact co-bipartite gadget " + label, lambda: grundy.grundy_domination_exact(gadget.target))
         if len(files) < count // 4 and g.n:
-            files.append((label, g))
-            files.append(("complement of " + label, co))
+            files.append(("solve", label, g))
+            files.append(("solve", "complement of " + label, co))
 
-    # the sizes perfbench's exact workloads run, up to the exact solver's cap
+    # the sizes perfbench's exact workloads run, up to 20 vertices
     for seed in range(count // 10):
         n, p = 17 + seed % 4, (0.1, 0.2, 0.3, 0.5)[seed // 4 % 4]
         g = random_graph(n, p, seed)
@@ -217,26 +221,27 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
             emit("gadgets", "exact bipartite gadget " + label, lambda: grundy.grundy_domination_exact(gadget.target))
 
     Graph, Hypergraph = grundy.Graph, grundy.Hypergraph
-    for n in range(21, 21 + max(1, count // 100)):
+    for n in range(SEARCH_BOUND, SEARCH_BOUND + max(2, count // 100)):
         path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
         wide = Hypergraph(2, [(0, 1)] * n)
         emit("caps", f"exact P{n}", lambda: grundy.grundy_domination_exact(path))
         emit("caps", f"alpha P{n}", lambda: grundy.independence_number_exact(path))
         emit("caps", f"cover m={n}", lambda: grundy.grundy_cover_exact(wide))
         emit("caps", f"transversal m={n}", lambda: grundy.grundy_transversal_exact(wide))
-        files.append((f"P{n}", path))
+        files.append(("solve_caps", f"P{n}", path))
     empty = Graph.from_edges(1025, [])
     emit("caps", "co-bipartite gadget of 1025 isolated vertices", lambda: grundy.graph_to_cobipartite(empty))
     many = Hypergraph(1025, [(v,) for v in range(1025)])
     emit("caps", "bipartite gadget of 1025 singletons", lambda: grundy.hypergraph_to_bipartite(many))
 
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (label, g) in enumerate(files):
+        for i, (file_family, label, g) in enumerate(files):
             path = os.path.join(tmp, f"{i}.graph")
             grundy.save_graph(g, path)
             for method in ("auto", "exact", "chain", "cochain"):
                 for extra in ([], ["--machine"], ["--budget", "3"]):
-                    family = "solve_cochain_universal" if method == "cochain" and _universal(g) else "solve"
+                    universal = method == "cochain" and _universal(g)
+                    family = "solve_cochain_universal" if universal else file_family
                     code, out, err = _run_cli(cli, ["solve", path, "--method", method, *extra])
                     stdout = "".join(line for line in out.splitlines(True) if not line.startswith("time_ms="))
                     print(json.dumps([family, f"solve --method {method} {' '.join(extra)} {label}", [code, stdout, err]]))

@@ -95,6 +95,7 @@ def test_criterion_6_hypergraph_duality():
     )
 
 
+@pytest.mark.timing
 def test_criterion_7_linear_scaling():
     sizes = [2**e for e in range(15, 21)]
     rows = run_bench(sizes, repeats=5)

@@ -77,6 +77,11 @@ class TestRecognition:
         with pytest.raises(NotChainGraphError):
             recognize_chain(cycle_graph(5))
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(NotChainGraphError, match="^empty graph$") as info:
+            recognize_chain(Graph(0, (), 0))
+        assert info.value.witness is None
+
     def test_isolated_vertex_is_precondition_error(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(IsolatedVertexError):

@@ -5,7 +5,17 @@ import pytest
 from grundy import bench as bench_mod
 from grundy import cli, sweeps
 from grundy.cli import main
-from grundy import ChainProfile, Graph, Hypergraph, chain_from_profile, complement, format_graph, load_graph
+from grundy import (
+    ChainProfile,
+    Graph,
+    Hypergraph,
+    chain_from_profile,
+    complement,
+    format_graph,
+    is_dominating_sequence,
+    load_graph,
+)
+from grundy.exact import MAX_SEARCH_SIZE, NODE_BUDGET
 
 from .conftest import address_space_cap, complete_bipartite, complete_graph, path_graph
 
@@ -97,26 +107,54 @@ class TestSolve:
         assert err == "error: too few edges for a co-chain graph\n"
 
     def test_size_cap_exit_code(self, tmp_path, capsys):
-        big = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
-        path = write_graph(tmp_path, big)
-        code, _, err = run(capsys, "solve", path, "--method", "exact")
-        assert code == 3
-        assert "cap" in err
+        path = write_graph(tmp_path, path_graph(MAX_SEARCH_SIZE + 1))
+        code, out, err = run(capsys, "solve", path, "--method", "exact")
+        assert (code, out) == (3, "")
+        assert err == f"error: {MAX_SEARCH_SIZE + 1} vertices exceeds the cap of {MAX_SEARCH_SIZE}\n"
 
     def test_auto_mode_size_cap_names_the_classes(self, tmp_path, capsys):
-        path = write_graph(tmp_path, path_graph(25))
+        path = write_graph(tmp_path, path_graph(MAX_SEARCH_SIZE + 1))
         assert run(capsys, "solve", path) == (
             3,
             "",
-            "error: 25 vertices (not a chain or co-chain graph, and too large for the exact "
-            "solver; supported classes: chain, co-chain, or any graph with at most 20 vertices) "
-            "exceeds the cap of 20\n",
+            f"error: {MAX_SEARCH_SIZE + 1} vertices (not a chain or co-chain graph, and too large for the "
+            f"exact solver; supported classes: chain, co-chain, or any graph with at most {MAX_SEARCH_SIZE} "
+            f"vertices) exceeds the cap of {MAX_SEARCH_SIZE}\n",
         )
+
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_exact_past_twenty_vertices(self, tmp_path, capsys, method):
+        # P25 is no chain or co-chain graph; the search splits it into
+        # components and expands one state per vertex but the last
+        path = write_graph(tmp_path, path_graph(25))
+        code, out, err = run(capsys, "solve", path, "--method", method, "--machine")
+        assert (code, err) == (0, "")
+        report = machine_dict(out)
+        assert (report["method"], report["gamma_gr"], report["nodes"]) == ("exact", "24", "24")
+        witness = [int(v) for v in report["witness"].split()]
+        assert len(witness) == 24
+        assert is_dominating_sequence(path_graph(25), witness)
+
+    @pytest.mark.usefixtures("memory_limit")
+    def test_header_past_the_bound_builds_no_mask(self, tmp_path, capsys):
+        # the closed masks of a million vertices would take some 60 GB, far
+        # past the memory limit, so the bound must refuse them before any is built
+        path = tmp_path / "wide.graph"
+        path.write_text("1000000 0\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: 1000000 vertices (not a chain or co-chain graph")
+        assert err.endswith(f"exceeds the cap of {MAX_SEARCH_SIZE}\n")
 
     def test_method_mismatch_exit_code(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_graph(5))
         code, _, _ = run(capsys, "solve", path, "--method", "chain")
         assert code == 5
+
+    def test_empty_graph_is_no_chain_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.graph"
+        path.write_text("0 0\n")
+        assert run(capsys, "solve", str(path), "--method", "chain") == (5, "", "error: empty graph\n")
 
     def test_isolated_vertex_is_input_error_for_chain(self, tmp_path, capsys):
         g = Graph.from_edges(3, [(0, 1)])
@@ -144,6 +182,12 @@ class TestSolve:
         report = machine_dict(out)
         assert report["gamma_gr"] == "6"
         assert int(report["nodes"]) >= 1
+
+    def test_budget_defaults_to_the_engine_budget(self, capsys):
+        assert cli.build_parser().parse_args(["solve", "g.graph"]).budget == NODE_BUDGET == 1 << 20
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        assert f"node budget for the exact solver (default {NODE_BUDGET})" in capsys.readouterr().out
 
     def test_budget_exhausted_exit_code(self, tmp_path, capsys):
         path = write_graph(tmp_path, path_graph(12))
@@ -671,8 +715,6 @@ class TestSweep:
             (["duality", "--m-max", "6"], 5),
             (["chain", "--max-k", "5"], 4),
             (["chain", "--max-part", "6"], 5),
-            (["chain", "--max-vertices", "21"], 20),
-            (["chain", "--random-vertices", "21"], 20),
         ],
     )
     def test_oversized_bounds_stop_before_the_sweep(self, capsys, monkeypatch, argv, cap):
@@ -685,6 +727,12 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert f"{argv[2]} ({argv[0]} sweep {argv[1][2:].replace('-', '_')}) exceeds the cap of {cap}" in err
+
+    def test_chain_vertex_bounds_have_no_cap(self, capsys):
+        # max_k and max_part already keep every profile within 40 vertices
+        argv = ["chain", "--max-k", "1", "--max-part", "2", "--max-vertices", str(10**30),
+                "--random", "3", "--random-vertices", str(10**30)]
+        self.assert_golden(capsys, argv, 7)
 
     @pytest.mark.usefixtures("memory_limit")
     def test_random_past_its_cap_builds_no_task(self, capsys, monkeypatch):

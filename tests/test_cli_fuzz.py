@@ -20,15 +20,17 @@ from hypothesis import strategies as st
 
 from grundy.bench import MAX_TIMED_RUNS
 from grundy.cli import main
+from grundy.exact import MAX_SEARCH_SIZE
 from grundy.sweeps import MAX_RANDOM
 
 from .conftest import address_space_cap
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
-# tiny counts, the exact search's cap and one past it, a graph too large
-# for a quadratic construction, and a count past the file header's cap
-counts = st.one_of(st.integers(0, 7), st.sampled_from([20, 21, 3000, (1 << 22) + 1]))
+# tiny counts, the exact search's size bound and one past it, a graph too
+# large for a quadratic construction, and a count past the file header's cap
+BOUNDS = [MAX_SEARCH_SIZE, MAX_SEARCH_SIZE + 1]
+counts = st.one_of(st.integers(0, 7), st.sampled_from(BOUNDS + [3000, (1 << 22) + 1]))
 tokens = st.one_of(
     st.integers(-2, 8).map(str),
     st.sampled_from(["#", "x", "1.5", "-0", "+1", "99999999999", "é"]),
@@ -55,7 +57,7 @@ def mangled_texts(draw) -> bytes:
 @st.composite
 def graph_texts(draw) -> bytes:
     """A well-formed graph file whose edges join the first 8 vertices."""
-    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([20, 21, 3000])))
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from(BOUNDS + [3000])))
     pairs = list(itertools.combinations(range(min(n, 8)), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
     return instance_text(n, len(edges), [f"{u} {v}" for u, v in edges])
@@ -163,15 +165,15 @@ bench_sizes = st.one_of(
     st.sampled_from(["0", "-1", "x", "1", "4194305", "4194304,4194304,1", HUGE, "8,,16", ","]),
 )
 
-# each family's options as (small legal values, minimum, cap); the small
-# values keep a sweep to milliseconds
+# each family's options as (small legal values, minimum, cap), None where
+# there is no cap; the small values keep a sweep to milliseconds
 SWEEP_OPTIONS = {
     "chain": {
         "max-k": (st.integers(1, 2), 1, 4),
         "max-part": (st.integers(1, 2), 1, 5),
-        "max-vertices": (st.integers(1, 6), 1, 20),
+        "max-vertices": (st.integers(1, 6), 1, None),
         "random": (st.integers(0, 2), 0, MAX_RANDOM),
-        "random-vertices": (st.integers(2, 6), 2, 20),
+        "random-vertices": (st.integers(2, 6), 2, None),
     },
     "duality": {
         "n-max": (st.integers(1, 3), 1, 7),

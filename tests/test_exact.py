@@ -22,7 +22,7 @@ from grundy import (
     is_legal_transversal_sequence,
 )
 from grundy import exact
-from grundy.exact import _closed_mask, _longest_sequence, graph_twin_classes
+from grundy.exact import MAX_SEARCH_SIZE, _closed_masks, _longest_sequence, graph_twin_classes
 from grundy.generators import (
     ChainProfile,
     XorShift64Star,
@@ -48,6 +48,11 @@ from .conftest import (
 )
 
 
+def past_the_bound(what: str):
+    """pytest.raises for a search on one vertex or edge past MAX_SEARCH_SIZE."""
+    return pytest.raises(SizeCapError, match=f"^{MAX_SEARCH_SIZE + 1} {what} exceeds the cap of {MAX_SEARCH_SIZE}$")
+
+
 class TestGrundyDomination:
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_complete_graph_is_one(self, n):
@@ -68,8 +73,8 @@ class TestGrundyDomination:
         assert len(res.best_sequence) == res.best_length
 
     def test_size_cap(self):
-        with pytest.raises(SizeCapError):
-            grundy_domination_exact(Graph.from_edges(21, []))
+        with past_the_bound("vertices"):
+            grundy_domination_exact(Graph.from_edges(MAX_SEARCH_SIZE + 1, []))
 
     def test_budget_is_loud(self):
         with pytest.raises(BudgetExceededError):
@@ -93,8 +98,7 @@ class TestGrundyDomination:
 def _plain_search(g: Graph) -> tuple[int, tuple[int, ...], int]:
     """The engine over closed neighborhoods with no twin classes: length,
     witness order and nodes explored."""
-    masks = [_closed_mask(g, v) for v in range(g.n)]
-    length, moves, nodes = _longest_sequence(masks, (1 << g.n) - 1)
+    length, moves, nodes = _longest_sequence(_closed_masks(g), (1 << g.n) - 1)
     return length, tuple(moves), nodes
 
 
@@ -162,15 +166,16 @@ class TestGrundyCover:
         assert info.value.vertex == 1
 
     def test_edge_cap(self):
-        h = Hypergraph(2, [(0, 1)] * 21)
-        with pytest.raises(SizeCapError):
+        h = Hypergraph(2, [(0, 1)] * (MAX_SEARCH_SIZE + 1))
+        with past_the_bound("edges"):
             grundy_cover_exact(h)
 
 
 class TestGrundyTransversal:
     def test_edge_cap(self):
-        with pytest.raises(SizeCapError, match="21 edges exceeds the cap of 20"):
-            grundy_transversal_exact(Hypergraph(2, [(0, 1)] * 21))
+        h = Hypergraph(2, [(0, 1)] * (MAX_SEARCH_SIZE + 1))
+        with past_the_bound("edges"):
+            grundy_transversal_exact(h)
 
     def test_two_overlapping_edges(self):
         h = Hypergraph(3, [(0, 1), (1, 2)])
@@ -242,8 +247,17 @@ class TestAgainstSetOracles:
         assert independence_number_exact(g) == brute_alpha(g)
 
     def test_independence_size_cap(self):
-        with pytest.raises(SizeCapError, match="21 vertices exceeds the cap of 20"):
-            independence_number_exact(Graph.from_edges(21, []))
+        with past_the_bound("vertices"):
+            independence_number_exact(Graph.from_edges(MAX_SEARCH_SIZE + 1, []))
+
+    def test_independence_budget_is_loud(self, monkeypatch):
+        # random_graph(16, 0.2, 1) misses the memo 81 times
+        g = random_graph(16, 0.2, 1)
+        monkeypatch.setattr(exact, "NODE_BUDGET", 81)
+        assert independence_number_exact(g) == 8
+        monkeypatch.setattr(exact, "NODE_BUDGET", 80)
+        with pytest.raises(BudgetExceededError, match="^node budget 80 exhausted after 81 nodes$"):
+            independence_number_exact(g)
 
 
 def _blow_up(base: Graph, sizes: list[int], closed: list[bool]) -> Graph:
@@ -307,7 +321,7 @@ class TestTwinClasses:
     @given(twin_rich_graphs(), st.data())
     def test_exact_on_any_uncovered_set(self, g, data):
         free = data.draw(st.integers(1, (1 << g.n) - 1))
-        masks = [_closed_mask(g, v) for v in range(g.n)]
+        masks = _closed_masks(g)
         assert (
             _longest_sequence(masks, free, graph_twin_classes(g))[:2]
             == _longest_sequence(masks, free)[:2]
@@ -315,16 +329,14 @@ class TestTwinClasses:
 
 
 class TestComponentSplit:
-    def test_paths_up_to_40(self, monkeypatch):
-        monkeypatch.setattr("grundy.exact.HARD_CAP", 40)
+    def test_paths_up_to_40(self):
         for n in range(2, 41):
             res = grundy_domination_exact(path_graph(n))
             assert res.best_length == n - 1
             assert res.nodes_explored <= n * n
             assert is_dominating_sequence(path_graph(n), res.best_sequence.order)
 
-    def test_cycles_up_to_40(self, monkeypatch):
-        monkeypatch.setattr("grundy.exact.HARD_CAP", 40)
+    def test_cycles_up_to_40(self):
         for n in range(3, 41):
             res = grundy_domination_exact(cycle_graph(n))
             assert res.best_length == n - 2
@@ -486,10 +498,9 @@ class TestPinnedSearch:
         res = grundy_transversal_exact(TRANSVERSAL_DUPLICATES)
         assert (res.best_length, res.best_sequence, res.nodes_explored) == (5, (3, 2, 0, 4, 1), 5)
 
-    def test_random_graph_past_the_cap(self, monkeypatch):
+    def test_random_graph_past_the_cap(self):
         # trying the fewest uncovered bits first finds the same witness
         # after 256,194 states
-        monkeypatch.setattr("grundy.exact.HARD_CAP", 30)
         res = grundy_domination_exact(random_graph(30, 0.2, 1))
         assert (res.best_length, res.best_sequence.order, res.nodes_explored) == (
             20,

@@ -17,6 +17,7 @@ import pytest
 from grundy import (
     ChainProfile,
     ChainStructure,
+    MAX_SEARCH_SIZE,
     InputError,
     SizeCapError,
     VertexSequence,
@@ -155,10 +156,11 @@ def test_run_adds_up_worker_results():
 
 
 def test_worker_error_reaches_the_caller():
-    # 22 vertices is over the exact search's cap, inside a worker process
-    with pytest.raises(SizeCapError, match="22 vertices exceeds the cap of 20") as info:
-        chain_sweep([ChainProfile((11,), (11,))], jobs=2)
-    assert (info.value.actual, info.value.limit) == (22, 20)
+    # one vertex past the exact search's bound, inside a worker process
+    n = MAX_SEARCH_SIZE + 1
+    with pytest.raises(SizeCapError, match=f"^{n} vertices exceeds the cap of {n - 1}$") as info:
+        chain_sweep([ChainProfile((n // 2,), (n - n // 2,))], jobs=2)
+    assert (info.value.actual, info.value.limit) == (n, n - 1)
 
 
 class TestPoolSize:

@@ -3,15 +3,20 @@
     PYTHONPATH=src python -m pytest -q -p tests.untested_lines tests
 
 A statement is a line that holds bytecode. Only the main thread is traced,
-so lines run only in sweep worker processes read as unrun, and tracing
-slows every test, so timing gates fail under it. Without -p nothing here
-is imported.
+so lines run only in sweep worker processes read as unrun. Tracing slows
+every test, so a wall-clock gate, a test marked `timing`, runs with the
+tracer switched off: it still runs and asserts, the lines only it runs
+read as unrun, and the summary names each test that ran untraced.
+Without -p nothing here is imported.
 """
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "grundy"
 _seen: set[tuple[str, int]] = set()
+_untraced: list[str] = []
 
 
 def _trace(frame, event, arg):
@@ -34,6 +39,18 @@ def pytest_load_initial_conftests(early_config, parser, args):
     sys.settrace(_trace)
 
 
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    if item.get_closest_marker("timing") is None:
+        return (yield)
+    _untraced.append(item.nodeid)
+    sys.settrace(None)
+    try:
+        return (yield)
+    finally:
+        sys.settrace(_trace)
+
+
 def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
     terminalreporter.section("src/grundy statements no test ran")
@@ -42,3 +59,5 @@ def pytest_terminal_summary(terminalreporter):
         unrun = sorted(line for line in _statements(code) if (str(path), line) not in _seen)
         if unrun:
             terminalreporter.write_line(f"{path.name}: {' '.join(map(str, unrun))}")
+    for nodeid in _untraced:
+        terminalreporter.write_line(f"ran untraced (timing): {nodeid}")
