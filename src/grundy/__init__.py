@@ -45,6 +45,7 @@ from .exact import (
     SearchResult,
     grundy_cover_exact,
     grundy_domination_exact,
+    grundy_number_exact,
     grundy_transversal_exact,
     independence_number_exact,
 )

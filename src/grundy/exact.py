@@ -82,7 +82,7 @@ from .sequences import VertexSequence, quick_verify, verified_witness
 
 __all__ = [
     "MAX_SEARCH_SIZE", "NODE_BUDGET", "SearchResult", "grundy_domination_exact",
-    "grundy_cover_exact", "grundy_transversal_exact", "independence_number_exact",
+    "grundy_number_exact", "grundy_cover_exact", "grundy_transversal_exact", "independence_number_exact",
 ]
 
 NODE_BUDGET = 1 << 20
@@ -120,9 +120,14 @@ def graph_twin_classes(g: Graph) -> list[tuple[int, ...]]:
     N(u) = N(v), hence v is in N[w] = N[u]; as v != u, v is in N(u) = N(v),
     but no vertex is its own neighbor.
     """
+    return _twin_classes(_closed_masks(g))
+
+
+def _twin_classes(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """graph_twin_classes of the graph whose closed neighborhoods are masks."""
     open_groups: dict[int, list[int]] = {}
     closed_groups: dict[int, list[int]] = {}
-    for v, closed in enumerate(_closed_masks(g)):
+    for v, closed in enumerate(masks):
         open_groups.setdefault(closed ^ 1 << v, []).append(v)
         closed_groups.setdefault(closed, []).append(v)
     return sorted(
@@ -282,9 +287,16 @@ def grundy_domination_exact(g: Graph, node_budget: int = NODE_BUDGET) -> SearchR
     when node_budget runs out; never returns a silent lower bound.
     """
     masks = _closed_masks(g)
-    length, moves, nodes = _longest_sequence(masks, (1 << g.n) - 1, graph_twin_classes(g), node_budget)
+    length, moves, nodes = _longest_sequence(masks, (1 << g.n) - 1, _twin_classes(masks), node_budget)
     order = verified_witness(moves, length, lambda o: all(quick_verify(g, o)), "exact sequence")
     return SearchResult(length, VertexSequence(order), nodes)
+
+
+def grundy_number_exact(g: Graph) -> int:
+    """grundy_domination_exact(g).best_length, found by the same search under
+    the same size bound and default budget, with no witness to build and check."""
+    masks = _closed_masks(g)
+    return _longest_sequence(masks, (1 << g.n) - 1, _twin_classes(masks), want_witness=False)[0]
 
 
 def _closed_masks(g: Graph) -> list[int]:

@@ -10,9 +10,14 @@ so that row is still all dominated, and the step is legal exactly when its
 own vertex is not. Cost is O(n + the degrees of the steps whose row
 differs from the last one walked), so a twin class played back to back
 costs one row walk; cheap enough to run on every benchmark output. The
-walk keeps no table of played vertices: a repeated vertex always has an
-empty footprint, because its first play dominated its closed neighborhood,
-so the empty footprint is where a duplicate is caught and named.
+table marks a dominated vertex with the shared int 1, one list slot per
+vertex, unless footprints are asked for: then it holds the step that
+dominated the vertex, a fresh int per step. An order that fails is walked
+once more with step numbers, which name the failing position, so only
+failing inputs pay for two walks. The walk keeps no table of played
+vertices: a repeated vertex always has an empty footprint, because its
+first play dominated its closed neighborhood, so the empty footprint is
+where a duplicate is caught and named.
 """
 from __future__ import annotations
 
@@ -62,7 +67,9 @@ def _sweep(g: Graph, order: Sequence[int], collect: bool):
     reported through the third slot, not raised. Whichever of these comes
     first in the order wins. A duplicate is named at its empty footprint,
     and a step whose row is the last row walked checks only its own vertex
-    (see the module docstring for both). Footprints, when collected, are
+    (see the module docstring for both). Without collect, the table holds
+    flags; an order that is not legal to its end is walked (again) with
+    step numbers, which name the failure. Footprints, when collected, are
     read back from the step that first dominated each vertex, and the
     covered count from the same table.
     """
@@ -71,6 +78,27 @@ def _sweep(g: Graph, order: Sequence[int], collect: bool):
     stop = len(order)
     if stop and (min(order) < 0 or max(order) >= n):
         stop = next(pos for pos, v in enumerate(order) if not 0 <= v < n)
+    if not collect and stop == len(order):
+        dominated = [0] * n
+        walked = None
+        for v in order:
+            row = adj[v]
+            if row is walked:
+                if dominated[v]:
+                    break
+                dominated[v] = 1
+            else:
+                walked = row
+                fresh = not dominated[v]
+                dominated[v] = 1
+                for u in row:
+                    if not dominated[u]:
+                        dominated[u] = 1
+                        fresh = True
+                if not fresh:
+                    break
+        else:
+            return None, n - dominated.count(0), -1
     # dominated_at[u] is 1 + the position of the step that first dominated u
     dominated_at = [0] * n
     walked = None
@@ -92,14 +120,11 @@ def _sweep(g: Graph, order: Sequence[int], collect: bool):
             return None, n - dominated_at.count(0), pos
     if stop < len(order):
         raise InputError(f"vertex {order[stop]} out of range for n={n}")
-    covered = n - dominated_at.count(0)
-    if not collect:
-        return None, covered, -1
     footprints: list[list[int]] = [[] for _ in range(stop)]
     for u, step in enumerate(dominated_at):
         if step:
             footprints[step - 1].append(u)
-    return list(map(tuple, footprints)), covered, -1
+    return list(map(tuple, footprints)), n - dominated_at.count(0), -1
 
 
 def check_closed_neighborhood_sequence(g: Graph, order: Sequence[int]) -> VertexSequence:

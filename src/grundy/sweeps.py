@@ -44,7 +44,7 @@ from .chain import (
 from .errors import InputError, SizeCapError
 from .exact import (
     grundy_cover_exact,
-    grundy_domination_exact,
+    grundy_number_exact,
     grundy_transversal_exact,
     independence_number_exact,
     rho_tau_values,
@@ -185,6 +185,12 @@ def _chain_case(task):
     Every profile still gets its own graph, recognition, chain solution
     and checks against those numbers, and its failure lines repeat once
     per listed copy.
+
+    The exact side is grundy_number_exact, the value without a witness:
+    only the value is compared. The check is still two independent
+    computations, the chain value against an exhaustive value, and the
+    chain witness is still checked on its own: it has passed grundy_chain's
+    gate, and check_closed_neighborhood_sequence re-derives its footprints.
     """
     checked, failures, exact = 0, [], None
     for (sizes_x, sizes_y), count in task:
@@ -199,7 +205,7 @@ def _chain_case(task):
         seq = grundy_chain(cs)
         gamma_chain = len(seq)
         if exact is None:
-            exact = grundy_domination_exact(g).best_length, independence_number_exact(g)
+            exact = grundy_number_exact(g), independence_number_exact(g)
         gamma_exact, alpha_exact = exact
         if gamma_chain != gamma_exact:
             lines.append(f"gamma: {label} chain={gamma_chain} exact={gamma_exact}")
@@ -455,11 +461,15 @@ def random_reduction_hypergraphs(count: int, seed: int) -> list[Hypergraph]:
 
 def _bipartite_case(task):
     """gamma of the bipartite gadget must exceed n+m by exactly rho, on a
-    hypergraph that stands for `count` labelled ones, one failure line each."""
+    hypergraph that stands for `count` labelled ones, one failure line each.
+
+    gamma is grundy_number_exact's value, with no witness: only values are
+    compared, and rho still comes from an independent exhaustive search,
+    over the hypergraph's edges rather than the gadget's vertices."""
     h, count = task
     rho = grundy_cover_exact(h).best_length
     gadget = hypergraph_to_bipartite(h)
-    gamma = grundy_domination_exact(gadget.target).best_length
+    gamma = grundy_number_exact(gadget.target)
     expected = h.n + h.m + rho
     if gamma != expected:
         return count, [f"n={h.n} edges={h.edges}: gamma={gamma} expected {expected}"] * count
@@ -479,11 +489,15 @@ def random_reduction_graphs(count: int, seed: int) -> list[Graph]:
 
 def _cobipartite_case(task):
     """gamma of the co-bipartite gadget must equal gamma of the source, a
-    graph that stands for `count` labelled graphs, one failure line each."""
+    graph that stands for `count` labelled graphs, one failure line each.
+
+    Both are grundy_number_exact's values, with no witnesses: only values
+    are compared, and the two are independent exhaustive searches on two
+    different graphs."""
     g, count = task
-    gamma_src = grundy_domination_exact(g).best_length
+    gamma_src = grundy_number_exact(g)
     gadget = graph_to_cobipartite(g)
-    gamma_gadget = grundy_domination_exact(gadget.target).best_length
+    gamma_gadget = grundy_number_exact(gadget.target)
     if gamma_src != gamma_gadget:
         line = f"n={g.n} edges={tuple(g.edges())}: source={gamma_src} gadget={gamma_gadget}"
         return count, [line] * count

@@ -14,6 +14,7 @@ from grundy import (
     check_subset_ordering,
     grundy_cover_exact,
     grundy_domination_exact,
+    grundy_number_exact,
     grundy_transversal_exact,
     independence_number_exact,
     is_dominating_sequence,
@@ -75,6 +76,8 @@ class TestGrundyDomination:
     def test_size_cap(self):
         with past_the_bound("vertices"):
             grundy_domination_exact(Graph.from_edges(MAX_SEARCH_SIZE + 1, []))
+        with past_the_bound("vertices"):
+            grundy_number_exact(Graph.from_edges(MAX_SEARCH_SIZE + 1, []))
 
     def test_budget_is_loud(self):
         with pytest.raises(BudgetExceededError):
@@ -533,10 +536,13 @@ def _digest_family():
 @pytest.fixture(scope="module")
 def digest_results():
     """(value, witness, nodes_explored) of every call of _digest_family(),
-    run once for both digest tests."""
+    run once for both digest tests; each graph's value-only search must
+    give the same value."""
     results = []
     for solve, instance in _digest_family():
         res = solve(instance)
+        if solve is grundy_domination_exact:
+            assert grundy_number_exact(instance) == res.best_length
         witness = getattr(res.best_sequence, "order", res.best_sequence)
         results.append((res.best_length, witness, res.nodes_explored))
     return results

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,12 @@ from grundy import (
     VertexSequence,
     check_closed_neighborhood_sequence,
     check_subset_ordering,
+    grundy_chain,
     is_dominating_sequence,
     parse_sequence,
+    recognize_chain,
 )
+from grundy.bench import bench_profile
 from grundy.generators import ChainProfile, chain_from_profile, random_chain_profile, random_graph
 from grundy.sequences import quick_verify
 
@@ -230,6 +235,21 @@ class TestWalkAgainstOracle:
         assert TWINS.adjacency[2] is TWINS.adjacency[3]
         assert walk_oracle(TWINS, order) == (kind, where)
         assert_matches_walk_oracle(TWINS, order)
+
+
+class TestWalkMemory:
+    def test_quick_verify_stores_flags(self):
+        # one list slot per vertex and no int per step: the walk's own
+        # allocations, which tracemalloc sizes the same on every run
+        g = chain_from_profile(bench_profile(2**18))
+        order = grundy_chain(recognize_chain(g)).order
+        tracemalloc.start()
+        try:
+            assert quick_verify(g, order) == (True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * g.n
 
 
 class TestRederivation:

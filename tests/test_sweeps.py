@@ -23,6 +23,7 @@ from grundy import (
     VertexSequence,
     chain_from_profile,
     grundy_domination_exact,
+    grundy_number_exact,
     independence_number_exact,
     recognize_chain,
 )
@@ -70,7 +71,7 @@ class TestChainReport:
         assert (report.checked, report.failures) == (2, [])
 
     def test_failure_lines_name_the_check(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=0))
+        monkeypatch.setattr(sweeps, "grundy_number_exact", lambda g: 0)
         monkeypatch.setattr(sweeps, "independence_number_exact", lambda g: -1)
         report = chain_sweep(PROFILES)
         assert report.checked == 2
@@ -118,13 +119,13 @@ class TestChainClasses:
 
         def search(g):
             searched.append(g.n)
-            return grundy_domination_exact(g)
+            return grundy_number_exact(g)
 
         def alpha(g):
             counted.append(g.n)
             return independence_number_exact(g)
 
-        monkeypatch.setattr(sweeps, "grundy_domination_exact", search)
+        monkeypatch.setattr(sweeps, "grundy_number_exact", search)
         monkeypatch.setattr(sweeps, "independence_number_exact", alpha)
         A, B, C = self.A, self.B, self.C
         report = chain_sweep([A, mirror(A), A, B, C, mirror(B), mirror(A), C])
@@ -132,7 +133,7 @@ class TestChainClasses:
         assert searched == counted == [7, 3, 4]
 
     def test_failure_lines_repeat_per_copy(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=0))
+        monkeypatch.setattr(sweeps, "grundy_number_exact", lambda g: 0)
         monkeypatch.setattr(sweeps, "independence_number_exact", lambda g: -1)
         A, B = self.A, self.B
         report = chain_sweep([B, A, mirror(A), A])
@@ -309,7 +310,7 @@ class TestWorkerFailureLines:
         assert outcome.failures == [line for line, count in lines for _ in range(count)]
 
     def test_cobipartite(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "grundy_domination_exact", lambda g: SimpleNamespace(best_length=g.n))
+        monkeypatch.setattr(sweeps, "grundy_number_exact", lambda g: g.n)
         outcome = FAMILIES["cobipartite"].run(n_max=2, random=2, seed=37)
         assert (outcome.checked, outcome.failures) == (
             5,
