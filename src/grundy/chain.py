@@ -128,7 +128,6 @@ def _check_nested(adj, runs: list[list[int]]) -> list[Sequence[int]]:
     of degree; consecutive runs differ in degree, so no class is empty.
     """
     classes: list[Sequence[int]] = []
-    prev = -1
     prev_row: Sequence[int] = ()
     for run in runs:
         rows = list(map(adj.__getitem__, run))

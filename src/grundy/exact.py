@@ -359,13 +359,12 @@ def independence_number_exact(g: Graph) -> int:
     return best((1 << g.n) - 1)
 
 
-def rho_tau_values(h: Hypergraph) -> tuple[int, int]:
-    """Covering and transversal numbers without witnesses, for bulk sweeps.
+def longest_sequence_value(masks: Sequence[int], full: int) -> int:
+    """The most masks in a sequence where each adds a new bit of full, without a witness."""
+    return _longest_sequence(masks, full, want_witness=False)[0]
 
-    The two values are computed through independent mask families (edge
-    masks over vertices, vertex masks over edges); their equality is a
-    theorem, not an artifact of shared code paths.
-    """
-    rho, _, _ = _longest_sequence(h.edge_masks, (1 << h.n) - 1, want_witness=False)
-    tau, _, _ = _longest_sequence(h.vertex_masks, (1 << h.m) - 1, want_witness=False)
-    return rho, tau
+
+def rho_tau_values(h: Hypergraph) -> tuple[int, int]:
+    """Covering and transversal numbers from independent mask families; their equality is a theorem."""
+    rho = longest_sequence_value(h.edge_masks, (1 << h.n) - 1)
+    return rho, longest_sequence_value(h.vertex_masks, (1 << h.m) - 1)

@@ -34,7 +34,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .chain import (
     grundy_chain,
@@ -47,7 +47,7 @@ from .exact import (
     grundy_number_exact,
     grundy_transversal_exact,
     independence_number_exact,
-    rho_tau_values,
+    longest_sequence_value,
 )
 from .generators import (
     ChainProfile,
@@ -247,7 +247,7 @@ def chain_sweep(profiles, jobs: int | None = None) -> ChainSweepReport:
 # ---- covering / transversal duality ----------------------------------------
 
 
-def _brute_max_len(masks: tuple[int, ...], full: int) -> int:
+def _brute_max_len(masks: Sequence[int], full: int) -> int:
     """Longest add-something-new sequence, by plain depth-first search.
 
     Independent of the memoized engine; prunes only through the hard
@@ -378,27 +378,29 @@ def edge_set_orbits(n: int, m_max: int, elements, repeats: bool = False):
 
 def _dual_case(task):
     """Check tau == rho on a block of orbit representatives on n vertices,
-    by plain search and again by the memoized engine. Each representative
-    counts for the labelled hypergraphs of its orbit."""
+    by plain search and by the memoized engine, all four on the edge masks
+    and their transposition (brute rho reads the edge masks alone). Each
+    representative counts for the labelled hypergraphs of its orbit."""
     n, block = task
-    checked = 0
+    full = (1 << n) - 1
     failures = []
-    for edge_masks, orbit_size in block:
-        checked += orbit_size
-        rho = _brute_max_len(edge_masks, (1 << n) - 1)
-        m = len(edge_masks)
-        vertex_masks = tuple(
-            sum(1 << j for j, em in enumerate(edge_masks) if em >> v & 1)
-            for v in range(n)
-        )
-        tau = _brute_max_len(vertex_masks, (1 << m) - 1)
+    for edge_masks, _ in block:
+        rho = _brute_max_len(edge_masks, full)
+        vertex_masks = [0] * n
+        for j, mask in enumerate(edge_masks):
+            while mask:
+                low = mask & -mask
+                vertex_masks[low.bit_length() - 1] |= 1 << j
+                mask ^= low
+        all_edges = (1 << len(edge_masks)) - 1
+        tau = _brute_max_len(vertex_masks, all_edges)
         if rho != tau:
             failures.append(f"n={n} masks={edge_masks} rho={rho} tau={tau}")
             continue
-        engine = rho_tau_values(Hypergraph(n, [_mask_to_edge(em) for em in edge_masks]))
+        engine = longest_sequence_value(edge_masks, full), longest_sequence_value(vertex_masks, all_edges)
         if engine != (rho, tau):
             failures.append(f"engine (rho, tau)={engine} on n={n} masks={edge_masks}, brute {rho}")
-    return checked, failures
+    return sum(orbit_size for _, orbit_size in block), failures
 
 
 def _mask_to_edge(mask: int) -> list[int]:
@@ -407,9 +409,9 @@ def _mask_to_edge(mask: int) -> list[int]:
 
 def duality_exhaustive_sweep(n_max: int, m_max: int, jobs: int | None = None) -> SweepOutcome:
     """tau == rho over every distinct-edge hypergraph with no isolated
-    vertex, n <= n_max and at most m_max edges, checked on one
-    representative per isomorphism class by plain search and by the
-    memoized engine. `checked` counts labelled hypergraphs."""
+    vertex, n <= n_max and at most m_max edges, checked on one isomorphism
+    class representative's edge masks and their transposition by plain search
+    and by the memoized engine. `checked` counts labelled hypergraphs."""
 
     def tasks():
         for n in range(1, n_max + 1):
@@ -463,11 +465,11 @@ def _bipartite_case(task):
     """gamma of the bipartite gadget must exceed n+m by exactly rho, on a
     hypergraph that stands for `count` labelled ones, one failure line each.
 
-    gamma is grundy_number_exact's value, with no witness: only values are
-    compared, and rho still comes from an independent exhaustive search,
-    over the hypergraph's edges rather than the gadget's vertices."""
+    gamma and rho are values of the memoized search, with no witnesses: only
+    values are compared, and the two are independent exhaustive searches,
+    rho over the hypergraph's edge masks, gamma over the gadget's vertices."""
     h, count = task
-    rho = grundy_cover_exact(h).best_length
+    rho = longest_sequence_value(h.edge_masks, (1 << h.n) - 1)
     gadget = hypergraph_to_bipartite(h)
     gamma = grundy_number_exact(gadget.target)
     expected = h.n + h.m + rho

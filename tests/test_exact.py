@@ -200,6 +200,39 @@ class TestGrundyTransversal:
         assert grundy_transversal_exact(h).best_length == grundy_cover_exact(h).best_length
 
 
+class TestBoundsAreInclusive:
+    """Each exact bound lets a search use all of it: a search that needs
+    exactly node_budget nodes (or NODE_BUDGET memo misses) answers, one
+    fewer raises, and MAX_SEARCH_SIZE vertices or edges answer."""
+
+    def test_node_budget(self):
+        g = path_graph(12)
+        full = grundy_domination_exact(g)
+        nodes = full.nodes_explored
+        assert grundy_domination_exact(g, node_budget=nodes) == full
+        with pytest.raises(BudgetExceededError, match=f"^node budget {nodes - 1} exhausted after {nodes} nodes$"):
+            grundy_domination_exact(g, node_budget=nodes - 1)
+
+    def test_independence_budget(self, monkeypatch):
+        # path_graph(12) misses the memo 12 times
+        monkeypatch.setattr(exact, "NODE_BUDGET", 12)
+        assert independence_number_exact(path_graph(12)) == 6
+        monkeypatch.setattr(exact, "NODE_BUDGET", 11)
+        with pytest.raises(BudgetExceededError, match="^node budget 11 exhausted after 12 nodes$"):
+            independence_number_exact(path_graph(12))
+
+    def test_graph_at_the_size_bound(self):
+        g = Graph.from_edges(MAX_SEARCH_SIZE, [])
+        assert grundy_domination_exact(g).best_length == MAX_SEARCH_SIZE
+        assert grundy_number_exact(g) == MAX_SEARCH_SIZE
+        assert independence_number_exact(g) == MAX_SEARCH_SIZE
+
+    def test_hypergraph_at_the_size_bound(self):
+        h = Hypergraph(2, [(0, 1)] * MAX_SEARCH_SIZE)
+        assert grundy_cover_exact(h).best_length == 1
+        assert grundy_transversal_exact(h).best_length == 1
+
+
 class TestBadWitnessIsRefused:
     """A search that hands back a bad witness fails re-verification, also
     where the checker refuses the witness as malformed."""

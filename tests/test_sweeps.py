@@ -27,7 +27,8 @@ from grundy import (
     independence_number_exact,
     recognize_chain,
 )
-from grundy import sweeps
+from grundy import Hypergraph, sweeps
+from grundy.exact import longest_sequence_value, rho_tau_values
 from grundy.sweeps import (
     FAMILIES,
     MAX_ORBIT_VERTICES,
@@ -234,7 +235,7 @@ class TestFamilies:
 
 
 def test_duality_engine_recheck_reports(monkeypatch):
-    monkeypatch.setattr(sweeps, "rho_tau_values", lambda h: (0, 0))
+    monkeypatch.setattr(sweeps, "longest_sequence_value", lambda masks, full: 0)
     outcome = sweeps.duality_exhaustive_sweep(2, 2)
     # four isomorphism classes, one engine line each; {1, 3} stands for
     # the two labelled sets {1, 3} and {2, 3}
@@ -245,6 +246,30 @@ def test_duality_engine_recheck_reports(monkeypatch):
         "engine (rho, tau)=(0, 0) on n=2 masks=(1, 3), brute 2",
         "engine (rho, tau)=(0, 0) on n=2 masks=(3,), brute 1",
     ]
+
+
+def test_duality_masks_match_the_hypergraph(monkeypatch):
+    """On every class with n <= 4 and m <= 4, covering or not, the duality
+    worker's transposition is the Hypergraph constructor's vertex_masks, and
+    the engine's values on the worker's masks are rho_tau_values of it."""
+    real = sweeps._brute_max_len
+    seen = []
+    monkeypatch.setattr(
+        sweeps, "_brute_max_len", lambda masks, full: seen.append((tuple(masks), full)) or real(masks, full)
+    )
+    classes = 0
+    for n in range(1, 5):
+        for edge_masks, size in edge_set_orbits(n, 4, range(1, 1 << n)):
+            seen.clear()
+            assert sweeps._dual_case((n, [(edge_masks, size)])) == (size, [])
+            (masks, full), (vertex_masks, all_edges) = seen
+            h = Hypergraph(n, map(sweeps._mask_to_edge, edge_masks))
+            assert (masks, full) == (h.edge_masks, (1 << n) - 1)
+            assert (vertex_masks, all_edges) == (h.vertex_masks, (1 << h.m) - 1)
+            engine = longest_sequence_value(masks, full), longest_sequence_value(vertex_masks, all_edges)
+            assert engine == rho_tau_values(h)
+            classes += 1
+    assert classes == 192
 
 
 def test_duality_brute_mismatch_reports(monkeypatch):
@@ -290,9 +315,9 @@ class TestWorkerFailureLines:
     def test_bipartite(self, monkeypatch):
         # a wrong rho on every 2-vertex source: each class's line repeats
         # once per labelled multiset it stands for, a random one's once
-        real = sweeps.grundy_cover_exact
+        real = sweeps.longest_sequence_value
         monkeypatch.setattr(
-            sweeps, "grundy_cover_exact", lambda h: SimpleNamespace(best_length=-1) if h.n == 2 else real(h)
+            sweeps, "longest_sequence_value", lambda masks, full: -1 if full == 0b11 else real(masks, full)
         )
         outcome = FAMILIES["bipartite"].run(random=2, seed=23)
         lines = [
