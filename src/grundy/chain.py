@@ -1,16 +1,17 @@
 """Chain graphs: recognition, twin partition, and the fast solvers.
 
 A chain graph is a bipartite graph whose one side's neighborhoods form a
-containment chain (then both sides' do). Recognition runs no BFS. One
-degree pass finds a vertex of maximum degree, the hub, and its neighbor w
-of maximum degree; in a chain graph without isolated vertices both are
-adjacent to a whole side, so N(w) and N(hub) are the two candidate sides,
-and neither is found by walking the other. A bucket sort by degree orders
-N(w), since nesting forces degree order, and containment is verified only
-between consecutive vertices; equal-degree vertices must have identical
-neighborhoods. That scan and one degree sum prove the split is a
-2-colouring (recognize_chain gives the argument), so the whole test is
-linear in the number of edges. It simultaneously yields the open-twin
+containment chain (then both sides' do). Recognition runs no BFS and keeps
+no degree table. A chain graph without isolated vertices is connected, so
+a vertex of maximum degree, the hub, sees a whole side, and w, the first
+vertex of degree n - deg(hub) if the hub sees it (else the hub's neighbor
+of maximum degree), sees the other: N(w) and N(hub) are the two candidate
+sides, and neither is found by walking the other. A bucket sort by degree
+orders N(w), since nesting forces degree order, and containment is
+verified only between consecutive vertices; equal-degree vertices must
+have identical neighborhoods. That scan and one degree sum prove the split
+is a 2-colouring (recognize_chain gives the argument), so the whole test
+is linear in the number of edges. It simultaneously yields the open-twin
 partition X_1..X_k / Y_1..Y_k: the classes of N(w) are its equal-degree
 runs, and the classes of N(hub) are what each run's row adds to the row
 before, the stretches the containment merge jumps over, so the larger
@@ -20,9 +21,9 @@ come from the BFS sides.
 
 grundy_chain evaluates a (k+1)-entry score table over the twin partition,
 picks a maximizing index, and emits the corresponding concatenation of
-twin classes. Every emitted sequence is re-verified by the independent
-sequence checker, through verified_witness, before it is returned; a
-failure raises rather than returning a wrong answer.
+twin classes as one tuple. Every emitted sequence is re-verified by the
+independent sequence checker, through verified_witness, before it is
+returned; a failure raises rather than returning a wrong answer.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
+from operator import indexOf
 from typing import Sequence
 
 from .errors import IsolatedVertexError, NotChainGraphError
@@ -98,7 +100,7 @@ def _row_gaps(small, big) -> list | None:
     return gaps
 
 
-def _degree_runs(members: Sequence[int], deg: list[int]) -> list[list[int]]:
+def _degree_runs(members: Sequence[int], adj) -> list[list[int]]:
     """Bucket sort vertices by degree: one list per degree present, in
     ascending degree, each keeping the order of members.
 
@@ -108,9 +110,9 @@ def _degree_runs(members: Sequence[int], deg: list[int]) -> list[list[int]]:
     buckets: dict[int, list[int]] = {}
     for v in members:
         try:
-            buckets[deg[v]].append(v)
+            buckets[len(adj[v])].append(v)
         except KeyError:
-            buckets[deg[v]] = [v]
+            buckets[len(adj[v])] = [v]
     return [buckets[d] for d in sorted(buckets)]
 
 
@@ -143,16 +145,28 @@ def _check_nested(adj, runs: list[list[int]]) -> list[Sequence[int]]:
     return classes
 
 
-def _rest_side(adj, deg: list[int]) -> Sequence[int]:
-    """N(w), in ascending order: the hub is the lowest-index vertex of
-    maximum degree and w its first neighbor of maximum degree.
+def _rest_side(adj) -> Sequence[int]:
+    """N(w), in ascending order. The hub is the lowest-index vertex of
+    maximum degree; w is the first vertex of degree n - deg(hub) if a
+    bisect finds it in N(hub), else the hub's first neighbor of that
+    degree, else (on no chain graph) its first neighbor of maximum degree.
 
-    N(w) holds the hub. On a chain graph with no isolated vertex it is
-    the side that N(hub) misses, found without walking N(hub); elsewhere it
-    is only a candidate side until recognize_chain has proven it.
+    A chain graph with no isolated vertex is connected, so the hub sees the
+    whole other side and its own side has n - deg(hub) vertices; a neighbor
+    of that degree sees all of them, so N(w) is the side that N(hub)
+    misses, found without walking N(hub). Elsewhere N(w), which holds the
+    hub, is only a candidate side until recognize_chain has proven it.
     """
-    hub_row = adj[deg.index(max(deg))]
-    return adj[max(hub_row, key=deg.__getitem__)]
+    hub_row = max(adj, key=len)
+    size = len(adj) - len(hub_row)
+    try:
+        w = indexOf(map(len, adj), size)
+        i = bisect_left(hub_row, w)
+        if i == len(hub_row) or hub_row[i] != w:
+            w = hub_row[indexOf(map(len, map(adj.__getitem__, hub_row)), size)]
+    except ValueError:
+        w = max(hub_row, key=lambda v: len(adj[v]))
+    return adj[w]
 
 
 def recognize_chain(g: Graph) -> ChainStructure:
@@ -162,20 +176,23 @@ def recognize_chain(g: Graph) -> ChainStructure:
     NotChainGraphError otherwise, carrying a witness pair of same-side
     vertices with incomparable neighborhoods when that is the cause.
 
-    The sides come from one degree pass, not a BFS. In a chain graph with
-    no isolated vertex, a vertex of maximum degree (the hub) is adjacent to
-    a whole side, and so is its neighbor w of maximum degree; the candidate
-    sides are H = N(w) and N(hub), and the hub lies in H. The containment
-    scan over H nests every H row into the row of its last degree run, and
-    that run holds the hub, so every H row lies inside N(hub). Hence H and
-    N(hub) are disjoint: a vertex in both would have the hub as a neighbor
-    inside N(hub). So no edge joins two vertices of H, and the degrees over
-    H sum to the edge count only if every edge has exactly one end in H;
-    then each vertex outside H has a neighbor in H, so lies in N(hub), and
-    the two sides cover V. Every vertex of N(hub) touches the hub, so a
-    proven split is connected, hence the unique 2-colouring, the one
-    graph.bipartition finds; X is the side holding vertex 0, as there. The
-    scan over H also yields N(hub)'s twin classes, so that side is never
+    The sides come from a pass or two over the row lengths, not a BFS, and
+    no degree table is kept. A chain graph with no isolated vertex is
+    connected, so a vertex of maximum degree (the hub) is adjacent to a
+    whole side, and so is a neighbor w of degree n - deg(hub) (_rest_side
+    picks it); the candidate sides are H = N(w) and N(hub), and the hub lies
+    in H. The proof below needs only that w is a neighbor of the hub, so no
+    choice of w can accept a graph that is not a chain graph. The
+    containment scan over H nests every H row into the row of its last
+    degree run, and that run holds the hub, so every H row lies inside
+    N(hub). Hence H and N(hub) are disjoint: a vertex in both would have the
+    hub as a neighbor inside N(hub). So no edge joins two vertices of H, and
+    the degrees over H sum to the edge count only if every edge has exactly
+    one end in H; then each vertex outside H has a neighbor in H, so lies in
+    N(hub), and the two sides cover V. Every vertex of N(hub) touches the
+    hub, so a proven split is connected, hence the unique 2-colouring, the
+    one graph.bipartition finds; X is the side holding vertex 0, as there.
+    The scan over H also yields N(hub)'s twin classes, so that side is never
     sorted. When a check fails, the BFS sides name the rejection: "not
     bipartite" on an odd cycle, else the scan over their X side reports its
     first incomparable pair.
@@ -183,24 +200,23 @@ def recognize_chain(g: Graph) -> ChainStructure:
     if g.n == 0:
         raise NotChainGraphError("empty graph")
     adj = g.adjacency
-    deg = list(map(len, adj))
-    if 0 in deg:
-        raise IsolatedVertexError(deg.index(0), "chain recognition requires none")
+    if not all(adj):
+        raise IsolatedVertexError(indexOf(map(len, adj), 0), "chain recognition requires none")
 
-    rest = _rest_side(adj, deg)
-    rest_runs = _degree_runs(rest, deg)
+    rest = _rest_side(adj)
+    rest_runs = _degree_runs(rest, adj)
     try:
         hub_classes = _check_nested(adj, rest_runs)
     except NotChainGraphError:
         proven = False
     else:
-        proven = sum(deg[run[0]] * len(run) for run in rest_runs) == g.edge_count
+        proven = sum(len(adj[run[0]]) * len(run) for run in rest_runs) == g.edge_count
     if not proven:
         sides = bipartition(g)
         if sides is None:
             raise NotChainGraphError("not bipartite")
         rest = sorted(sides.side_x)
-        rest_runs = _degree_runs(rest, deg)
+        rest_runs = _degree_runs(rest, adj)
         # raises on every graph that gets here: each chain graph is proven
         # above, and a bipartite graph with no isolated vertex whose X side
         # nests is a chain graph
@@ -249,35 +265,23 @@ def grundy_number_chain(cs: ChainStructure) -> int:
     return max(_score_table(cs))
 
 
-def _order_for_index(cs: ChainStructure, istar: int) -> list[int]:
+def _order_for_index(cs: ChainStructure, istar: int) -> tuple[int, ...]:
     """The class concatenation realizing score-table entry istar (k >= 2).
 
     Entry k is the whole X side in chain order, whatever |X_k| is, since
     the table gives that entry no bonus (see _score_table).
     """
     x_parts, y_parts, k = cs.x_parts, cs.y_parts, cs.k
-    order: list[int] = []
     if istar == 0 and len(y_parts[0]) > 1:
-        for j in range(k - 1, -1, -1):
-            order.extend(y_parts[j])
+        parts = y_parts[::-1]
     elif istar == 0:
-        order.extend(x_parts[0])
-        for j in range(k - 1, 1, -1):
-            order.extend(y_parts[j])
-        order.extend(y_parts[0])
-        order.extend(y_parts[1])
+        parts = (x_parts[0], *y_parts[:1:-1], y_parts[0], y_parts[1])
     elif istar == k:
-        for part in x_parts:
-            order.extend(part)
+        parts = x_parts
     else:
-        pivot = x_parts[istar][0]
-        for j in range(istar - 1):
-            order.extend(x_parts[j])
-        for j in range(k - 1, istar - 1, -1):
-            order.extend(y_parts[j])
-        order.append(pivot)
-        order.extend(x_parts[istar - 1])
-    return order
+        pivot = x_parts[istar][:1]
+        parts = (*x_parts[:istar - 1], *y_parts[:istar - 1:-1], pivot, x_parts[istar - 1])
+    return tuple(chain.from_iterable(parts))
 
 
 def grundy_chain(cs: ChainStructure) -> VertexSequence:

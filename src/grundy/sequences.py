@@ -68,37 +68,41 @@ def _sweep(g: Graph, order: Sequence[int], collect: bool):
     first in the order wins. A duplicate is named at its empty footprint,
     and a step whose row is the last row walked checks only its own vertex
     (see the module docstring for both). Without collect, the table holds
-    flags; an order that is not legal to its end is walked (again) with
-    step numbers, which name the failure. Footprints, when collected, are
-    read back from the step that first dominated each vertex, and the
-    covered count from the same table.
+    flags, one range pass (min) precedes the walk, and an index past n is
+    caught by the walk itself; an order that is not legal to its end is
+    walked (again) with step numbers, which name the failure. Footprints,
+    when collected, are read back from the step that first dominated each
+    vertex, and the covered count from the same table.
     """
     n = g.n
     adj = g.adjacency
     stop = len(order)
-    if stop and (min(order) < 0 or max(order) >= n):
+    if stop and (min(order) < 0 or collect and max(order) >= n):
         stop = next(pos for pos, v in enumerate(order) if not 0 <= v < n)
     if not collect and stop == len(order):
         dominated = [0] * n
         walked = None
-        for v in order:
-            row = adj[v]
-            if row is walked:
-                if dominated[v]:
-                    break
-                dominated[v] = 1
+        try:
+            for v in order:
+                row = adj[v]
+                if row is walked:
+                    if dominated[v]:
+                        break
+                    dominated[v] = 1
+                else:
+                    walked = row
+                    fresh = not dominated[v]
+                    dominated[v] = 1
+                    for u in row:
+                        if not dominated[u]:
+                            dominated[u] = 1
+                            fresh = True
+                    if not fresh:
+                        break
             else:
-                walked = row
-                fresh = not dominated[v]
-                dominated[v] = 1
-                for u in row:
-                    if not dominated[u]:
-                        dominated[u] = 1
-                        fresh = True
-                if not fresh:
-                    break
-        else:
-            return None, n - dominated.count(0), -1
+                return None, n - dominated.count(0), -1
+        except IndexError:  # an index past n: the walk below names what comes first
+            stop = next(pos for pos, v in enumerate(order) if v >= n)
     # dominated_at[u] is 1 + the position of the step that first dominated u
     dominated_at = [0] * n
     walked = None

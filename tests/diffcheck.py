@@ -10,7 +10,10 @@ value, witness order and nodes_explored, or the error class and message.
 The families are G(n, p) with n <= 16, `gnp_large` (COUNT // 10 graphs
 G(n, p) with n = 17-20 and p in {0.1, 0.2, 0.3, 0.5}, each solved with
 and without a budget of 20,000 nodes), renamed twin blow-ups, renamed
-chain profiles and their complements, both gadgets, cover and
+chain profiles and their complements, `walk` (quick_verify,
+check_closed_neighborhood_sequence and is_dominating_sequence on seeded
+permutations and legal orders of shared-row chain graphs and G(n, p),
+each also with -1, n or a repeated entry inserted), both gadgets, cover and
 transversal with and without node budgets, rho_tau_values, `caps`
 (inputs at and past the exact search's size bound of 64 and past the
 gadget caps), and `solve` stdout (minus time_ms), stderr and exit code for
@@ -47,14 +50,39 @@ from collections import Counter
 # check on sys.path first.
 
 
+def _permutation(n, rng):
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def _shuffled(g, rng):
     from grundy import Graph
 
-    perm = list(range(g.n))
-    for i in range(g.n - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
+    perm = _permutation(g.n, rng)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _walk_orders(g, rng):
+    """A seeded permutation of g's vertices, the legal order that keeps each
+    of its vertices with a non-empty footprint, and each of the two with -1,
+    n or a repeated entry inserted at a seeded position."""
+    perm = _permutation(g.n, rng)
+    legal, dominated = [], set()
+    for v in perm:
+        closed = {v, *g.neighbors(v)}
+        if not closed <= dominated:
+            legal.append(v)
+            dominated |= closed
+    orders = [perm, legal]
+    for base in (perm, legal):
+        for extra in (-1, g.n, base[rng.next_below(len(base))] if base else 0):
+            order = list(base)
+            order.insert(rng.next_below(len(order) + 1), extra)
+            orders.append(order)
+    return orders
 
 
 def _blow_up(base, sizes, closed):
@@ -169,7 +197,14 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
         raise SystemExit(f"imported {grundy.__file__}, not the package under {src}")
     from grundy import cli
     from grundy.exact import rho_tau_values
-    from grundy.generators import XorShift64Star, random_graph, random_hypergraph
+    from grundy.generators import (
+        XorShift64Star,
+        chain_from_profile,
+        random_chain_profile,
+        random_graph,
+        random_hypergraph,
+    )
+    from grundy.sequences import check_closed_neighborhood_sequence, is_dominating_sequence, quick_verify
 
     def emit(family, label, call):
         print(json.dumps([family, label, _outcome(call, ignore_nodes)]))
@@ -200,6 +235,17 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
         label = f"G({n}, {p}, seed {seed})"
         emit("gnp_large", "exact " + label, lambda: grundy.grundy_domination_exact(g))
         emit("gnp_large", "exact budget 20000 " + label, lambda: grundy.grundy_domination_exact(g, node_budget=20_000))
+
+    rng = XorShift64Star(20233)
+    for seed in range(count):
+        shared = chain_from_profile(random_chain_profile(18, seed))
+        gnp = random_graph(1 + seed % 16, rng.next_float(), seed)
+        for kind, g in (("shared-row chain", shared), (f"G({gnp.n}, seed {seed})", gnp)):
+            for order in _walk_orders(g, rng):
+                label = f"{kind} seed {seed} order {order}"
+                emit("walk", "quick_verify " + label, lambda: list(quick_verify(g, order)))
+                emit("walk", "footprints " + label, lambda: check_closed_neighborhood_sequence(g, order).footprints)
+                emit("walk", "dominating " + label, lambda: is_dominating_sequence(g, order))
 
     rng = XorShift64Star(20232)
     for seed in range(count):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -25,6 +26,7 @@ from grundy import (
     is_dominating_sequence,
     recognize_chain,
 )
+from grundy.bench import bench_profile
 from grundy.generators import (
     ChainProfile,
     XorShift64Star,
@@ -86,6 +88,35 @@ class TestRecognition:
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(IsolatedVertexError):
             recognize_chain(g)
+
+    @pytest.mark.parametrize(
+        "n,edges,vertex",
+        [
+            # P4 as a chain graph, then three isolated vertices
+            (7, [(0, 2), (1, 2), (1, 3)], 4),
+            # no edges: every row is empty, vertex 0 is the first
+            (3, [], 0),
+            # vertex 0 alone, a path on the rest
+            (4, [(1, 2), (2, 3)], 0),
+        ],
+    )
+    def test_isolated_vertex_is_the_lowest(self, n, edges, vertex):
+        with pytest.raises(IsolatedVertexError) as info:
+            recognize_chain(Graph.from_edges(n, edges))
+        assert info.value.vertex == vertex
+
+    def test_recognition_keeps_no_degree_table(self):
+        # the hub's neighbors come out of _row_gaps as one slice, 8 bytes
+        # a vertex; a list of every degree would add 8 more
+        g = chain_from_profile(bench_profile(2**18))
+        tracemalloc.start()
+        try:
+            cs = recognize_chain(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cs.k == 4
+        assert peak < 12 * g.n
 
     def test_nested_order(self):
         cs = recognize_chain(p4_chain())
@@ -254,19 +285,39 @@ class TestRecognitionAgainstReference:
             adj = g.adjacency
             deg = list(map(len, adj))
             hub_row = adj[deg.index(max(deg))]
-            rest = chain_module._rest_side(adj, deg)
+            rest = chain_module._rest_side(adj)
             assert tuple(rest) == tuple(sorted(set(range(g.n)) - set(hub_row)))
-            classes = chain_module._check_nested(adj, chain_module._degree_runs(rest, deg))
-            runs = chain_module._degree_runs(hub_row, deg)
+            classes = chain_module._check_nested(adj, chain_module._degree_runs(rest, adj))
+            runs = chain_module._degree_runs(hub_row, adj)
             assert list(map(tuple, classes)) == list(map(tuple, reversed(runs)))
 
     def test_candidate_sides_can_miss_vertices(self):
         # the graph of the K1,3 + K1,2 rejection above
         g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)])
         adj = g.adjacency
-        deg = list(map(len, adj))
-        rest = chain_module._rest_side(adj, deg)
+        rest = chain_module._rest_side(adj)
         assert set(rest) | set(adj[0]) != set(range(g.n))
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            # K3,3 with the hub's side first: the first vertex of degree
+            # n - deg(hub) is the hub itself
+            ChainProfile((3,), (3,)),
+            # vertex 0 has degree n - deg(hub) = 2, on the hub's side, ahead
+            # of the other side's top class {2, 3}; the hub is vertex 1
+            ChainProfile((1, 1), (2, 1)),
+        ],
+    )
+    def test_w_falls_back_to_the_hubs_neighbors(self, bfs_calls, profile):
+        g = chain_from_profile(profile)
+        hub_row = max(g.adjacency, key=len)
+        degrees = [len(row) for row in g.adjacency]
+        assert degrees.index(g.n - len(hub_row)) not in hub_row
+        cs = recognize_chain(g)
+        assert bfs_calls == []
+        assert (set().union(*cs.x_parts), set().union(*cs.y_parts)) == chain_reference(g)[1]
+        assert (tuple(map(len, cs.x_parts)), tuple(map(len, cs.y_parts))) == (profile.sizes_x, profile.sizes_y)
 
     def test_chain_graphs_skip_the_bfs(self, bfs_calls):
         for profile in exhaustive_profiles(max_k=3, max_part=2, max_vertices=10):
