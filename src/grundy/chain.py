@@ -2,22 +2,21 @@
 
 A chain graph is a bipartite graph whose one side's neighborhoods form a
 containment chain (then both sides' do). Recognition runs no BFS and keeps
-no degree table. A chain graph without isolated vertices is connected, so
-a vertex of maximum degree, the hub, sees a whole side, and w, the first
-vertex of degree n - deg(hub) if the hub sees it (else the hub's neighbor
-of maximum degree), sees the other: N(w) and N(hub) are the two candidate
-sides, and neither is found by walking the other. A bucket sort by degree
-orders N(w), since nesting forces degree order, and containment is
-verified only between consecutive vertices; equal-degree vertices must
-have identical neighborhoods. That scan and one degree sum prove the split
-is a 2-colouring (recognize_chain gives the argument), so the whole test
-is linear in the number of edges. It simultaneously yields the open-twin
+no degree table. A chain graph without isolated vertices is connected, so a
+vertex of maximum degree, the hub, sees a whole side, and w, the hub's first
+neighbor of degree n - deg(hub), sees the other: N(w) and N(hub) are the two
+candidate sides, and neither is found by walking the other. A bucket sort by
+degree orders N(w), since nesting forces degree order, and containment is
+verified only between consecutive vertices; equal-degree vertices must have
+identical neighborhoods. That scan and one degree sum prove the split is a
+2-colouring (recognize_chain gives the argument), so the whole test is
+linear in the number of edges. It simultaneously yields the open-twin
 partition X_1..X_k / Y_1..Y_k: the classes of N(w) are its equal-degree
 runs, and the classes of N(hub) are what each run's row adds to the row
-before, the stretches the containment merge jumps over, so the larger
-side costs one slice per class rather than a step per vertex. Only a
-rejected graph is 2-coloured by BFS, so that the reason and witness pair
-come from the BFS sides.
+before, the stretches the containment merge jumps over, so the larger side
+costs one slice per class rather than a step per vertex. Only a rejected
+graph is 2-coloured by BFS, so that the reason and witness pair come from
+the BFS sides.
 
 grundy_chain evaluates a (k+1)-entry score table over the twin partition,
 picks a maximizing index, and emits the corresponding concatenation of
@@ -147,26 +146,22 @@ def _check_nested(adj, runs: list[list[int]]) -> list[Sequence[int]]:
 
 def _rest_side(adj) -> Sequence[int]:
     """N(w), in ascending order. The hub is the lowest-index vertex of
-    maximum degree; w is the first vertex of degree n - deg(hub) if a
-    bisect finds it in N(hub), else the hub's first neighbor of that
-    degree, else (on no chain graph) its first neighbor of maximum degree.
+    maximum degree; w is the hub's first neighbor of degree n - deg(hub),
+    or its first neighbor if none has that degree (never on a chain graph).
 
     A chain graph with no isolated vertex is connected, so the hub sees the
     whole other side and its own side has n - deg(hub) vertices; a neighbor
     of that degree sees all of them, so N(w) is the side that N(hub)
-    misses, found without walking N(hub). Elsewhere N(w), which holds the
-    hub, is only a candidate side until recognize_chain has proven it.
+    misses, found by a scan of the hub's row that stops at w. Elsewhere
+    N(w), which holds the hub, is only a candidate side until
+    recognize_chain has proven it.
     """
     hub_row = max(adj, key=len)
     size = len(adj) - len(hub_row)
-    try:
-        w = indexOf(map(len, adj), size)
-        i = bisect_left(hub_row, w)
-        if i == len(hub_row) or hub_row[i] != w:
-            w = hub_row[indexOf(map(len, map(adj.__getitem__, hub_row)), size)]
-    except ValueError:
-        w = max(hub_row, key=lambda v: len(adj[v]))
-    return adj[w]
+    for w in hub_row:
+        if len(adj[w]) == size:
+            return adj[w]
+    return adj[hub_row[0]]
 
 
 def recognize_chain(g: Graph) -> ChainStructure:
@@ -176,14 +171,14 @@ def recognize_chain(g: Graph) -> ChainStructure:
     NotChainGraphError otherwise, carrying a witness pair of same-side
     vertices with incomparable neighborhoods when that is the cause.
 
-    The sides come from a pass or two over the row lengths, not a BFS, and
-    no degree table is kept. A chain graph with no isolated vertex is
-    connected, so a vertex of maximum degree (the hub) is adjacent to a
-    whole side, and so is a neighbor w of degree n - deg(hub) (_rest_side
-    picks it); the candidate sides are H = N(w) and N(hub), and the hub lies
-    in H. The proof below needs only that w is a neighbor of the hub, so no
-    choice of w can accept a graph that is not a chain graph. The
-    containment scan over H nests every H row into the row of its last
+    The sides come from two passes over the row lengths and a scan of the
+    hub's row, not a BFS, and no degree table is kept. A chain graph with no
+    isolated vertex is connected, so a vertex of maximum degree (the hub) is
+    adjacent to a whole side, and so is a neighbor w of degree n - deg(hub)
+    (_rest_side picks it); the candidate sides are H = N(w) and N(hub), and
+    the hub lies in H. The proof below needs only that w is a neighbor of
+    the hub, so no choice of w can accept a graph that is not a chain graph.
+    The containment scan over H nests every H row into the row of its last
     degree run, and that run holds the hub, so every H row lies inside
     N(hub). Hence H and N(hub) are disjoint: a vertex in both would have the
     hub as a neighbor inside N(hub). So no edge joins two vertices of H, and

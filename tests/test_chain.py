@@ -309,7 +309,7 @@ class TestRecognitionAgainstReference:
             ChainProfile((1, 1), (2, 1)),
         ],
     )
-    def test_w_falls_back_to_the_hubs_neighbors(self, bfs_calls, profile):
+    def test_w_is_found_among_the_hubs_neighbors(self, bfs_calls, profile):
         g = chain_from_profile(profile)
         hub_row = max(g.adjacency, key=len)
         degrees = [len(row) for row in g.adjacency]
