@@ -45,8 +45,8 @@ value(rest) and memoized under its own mask; the witness reconstruction
 still walks the whole state in the witness order and asks value() only,
 so the witness is the one an unsplit search finds.
 
-One budget bounds every search: node_budget, NODE_BUDGET = 2^20 by
-default, counts expansions of connected sets, as nodes_explored does.
+One budget, NODE_BUDGET = 2^20 (grundy_domination_exact takes node_budget),
+counts expansions of connected sets in every search, as nodes_explored does.
 The search and the witness reconstruction share the memo, so no set is
 expanded twice and a search over b bits expands fewer than 2^b sets: no
 graph or independence search on at most 20 vertices (the latter counts
@@ -312,25 +312,25 @@ def _closed_masks(g: Graph) -> list[int]:
     return masks
 
 
-def grundy_cover_exact(h: Hypergraph, node_budget: int = NODE_BUDGET) -> SearchResult:
+def grundy_cover_exact(h: Hypergraph) -> SearchResult:
     """Maximum length of an edge covering sequence, by exhaustive search."""
     if h.m > MAX_SEARCH_SIZE:
         raise SizeCapError(h.m, MAX_SEARCH_SIZE, what="edges")
     isolated = h.isolated_vertices()
     if isolated:
         raise IsolatedVertexError(isolated[0], "every vertex must lie in some edge")
-    length, moves, nodes = _longest_sequence(h.edge_masks, (1 << h.n) - 1, node_budget=node_budget)
+    length, moves, nodes = _longest_sequence(h.edge_masks, (1 << h.n) - 1)
     order = verified_witness(
         moves, length, lambda o: is_legal_edge_sequence(h, o) and is_edge_cover(h, o), "edge sequence"
     )
     return SearchResult(length, order, nodes)
 
 
-def grundy_transversal_exact(h: Hypergraph, node_budget: int = NODE_BUDGET) -> SearchResult:
+def grundy_transversal_exact(h: Hypergraph) -> SearchResult:
     """Maximum length of a legal transversal sequence, by exhaustive search."""
     if h.m > MAX_SEARCH_SIZE:
         raise SizeCapError(h.m, MAX_SEARCH_SIZE, what="edges")
-    length, moves, nodes = _longest_sequence(h.vertex_masks, (1 << h.m) - 1, node_budget=node_budget)
+    length, moves, nodes = _longest_sequence(h.vertex_masks, (1 << h.m) - 1)
     order = verified_witness(
         moves, length, lambda o: is_legal_transversal_sequence(h, o), "transversal sequence"
     )

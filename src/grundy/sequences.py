@@ -1,28 +1,30 @@
 """Legality, footprints and domination checks for vertex sequences.
 
 Every solver in the package funnels its output back through these checkers,
-so they are written to re-derive everything from scratch: a sweep walks the
-sequence left to right with a dominated-vertex table and never patches
-results incrementally across edits. A step whose adjacency row is the very
-row object the last expanded step walked (twins share rows, as the chain
-generators build them) does not walk it again: domination never reverts,
-so that row is still all dominated, and the step is legal exactly when its
-own vertex is not. Cost is O(n + the degrees of the steps whose row
-differs from the last one walked), so a twin class played back to back
-costs one row walk; cheap enough to run on every benchmark output. The
-table marks a dominated vertex with the shared int 1, one list slot per
-vertex, unless footprints are asked for: then it holds the step that
-dominated the vertex, a fresh int per step. An order that fails is walked
-once more with step numbers, which name the failing position, so only
-failing inputs pay for two walks. The walk keeps no table of played
-vertices: a repeated vertex always has an empty footprint, because its
-first play dominated its closed neighborhood, so the empty footprint is
-where a duplicate is caught and named.
+so they are written to re-derive everything from scratch: a walk goes
+through the sequence left to right with a dominated-vertex table and never
+patches results incrementally across edits. Two walks share that shape and
+each does one job. The flag walk answers quick_verify: its table holds the
+shared int 1, one list slot per vertex, and it returns only the covered
+count. The footprint walk answers check_closed_neighborhood_sequence: it
+builds each step's footprint, in ascending order, as it walks the step,
+and names the first failing position. quick_verify runs the footprint walk
+only on an order the flag walk could not finish, so only failing inputs
+pay for two walks. A step whose adjacency row is the very row object the
+last expanded step walked (twins share rows, as the chain generators build
+them) does not walk it again: domination never reverts, so that row is
+still all dominated, and the step's footprint is its own vertex or
+nothing. Cost is O(n + the degrees of the steps whose row differs from the
+last one walked), so a twin class played back to back costs one row walk;
+cheap enough to run on every benchmark output. Neither walk keeps a table
+of played vertices: a repeated vertex always has an empty footprint,
+because its first play dominated its closed neighborhood, so the empty
+footprint is where a duplicate is caught and named.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicateVertexError, FormatError, IllegalStepError, InputError, VerificationError
@@ -59,76 +61,69 @@ class VertexSequence:
         return sum(len(fp) for fp in self.footprints)
 
 
-def _sweep(g: Graph, order: Sequence[int], collect: bool):
-    """Shared left-to-right footprint sweep.
+def _flag_walk(g: Graph, order: Sequence[int]) -> int | None:
+    """The number of vertices order dominates, or None when the order is
+    not legal to its end: an empty footprint or an index out of range. One
+    range pass (min) precedes the walk, and an index past n is caught by
+    the walk itself."""
+    if order and min(order) < 0:
+        return None
+    dominated = [0] * g.n
+    adj = g.adjacency
+    walked = None
+    try:
+        for v in order:
+            row = adj[v]
+            if row is walked:
+                if dominated[v]:
+                    return None
+                dominated[v] = 1
+            else:
+                walked = row
+                fresh = not dominated[v]
+                dominated[v] = 1
+                for u in row:
+                    if not dominated[u]:
+                        dominated[u] = 1
+                        fresh = True
+                if not fresh:
+                    return None
+    except IndexError:
+        return None
+    return g.n - dominated.count(0)
 
-    Returns (footprints or None, covered_count, first_illegal_position).
-    Raises on out-of-range or duplicate vertices; an empty footprint is
-    reported through the third slot, not raised. Whichever of these comes
-    first in the order wins. A duplicate is named at its empty footprint,
-    and a step whose row is the last row walked checks only its own vertex
-    (see the module docstring for both). Without collect, the table holds
-    flags, one range pass (min) precedes the walk, and an index past n is
-    caught by the walk itself; an order that is not legal to its end is
-    walked (again) with step numbers, which name the failure. Footprints,
-    when collected, are read back from the step that first dominated each
-    vertex, and the covered count from the same table.
-    """
+
+def _footprint_walk(g: Graph, order: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
+    """(footprints, first_empty_pos): the footprints of the steps before the
+    first one whose footprint is empty, and that step's position, or -1 when
+    there is none. Raises InputError on an index out of range and
+    DuplicateVertexError on a repeat, each when it comes before the first
+    empty footprint; a repeat is named at its own empty footprint."""
     n = g.n
     adj = g.adjacency
-    stop = len(order)
-    if stop and (min(order) < 0 or collect and max(order) >= n):
-        stop = next(pos for pos, v in enumerate(order) if not 0 <= v < n)
-    if not collect and stop == len(order):
-        dominated = [0] * n
-        walked = None
-        try:
-            for v in order:
-                row = adj[v]
-                if row is walked:
-                    if dominated[v]:
-                        break
-                    dominated[v] = 1
-                else:
-                    walked = row
-                    fresh = not dominated[v]
-                    dominated[v] = 1
-                    for u in row:
-                        if not dominated[u]:
-                            dominated[u] = 1
-                            fresh = True
-                    if not fresh:
-                        break
-            else:
-                return None, n - dominated.count(0), -1
-        except IndexError:  # an index past n: the walk below names what comes first
-            stop = next(pos for pos, v in enumerate(order) if v >= n)
-    # dominated_at[u] is 1 + the position of the step that first dominated u
-    dominated_at = [0] * n
+    dominated = [0] * n
+    footprints = []
     walked = None
-    for step, v in enumerate(islice(order, stop), 1):
-        fresh = not dominated_at[v]
-        if fresh:
-            dominated_at[v] = step
+    for pos, v in enumerate(order):
+        if not 0 <= v < n:
+            raise InputError(f"vertex {v} out of range for n={n}")
         row = adj[v]
-        if row is not walked:
+        if row is walked:
+            footprint = () if dominated[v] else (v,)
+        else:
             walked = row
-            for u in row:
-                if not dominated_at[u]:
-                    dominated_at[u] = step
-                    fresh = True
-        if not fresh:
-            pos = step - 1
+            fresh = [u for u in row if not dominated[u]]
+            if not dominated[v]:
+                insort(fresh, v)
+            footprint = tuple(fresh)
+        if not footprint:
             if order.index(v) < pos:
                 raise DuplicateVertexError(v, pos)
-            return None, n - dominated_at.count(0), pos
-    if stop < len(order):
-        raise InputError(f"vertex {order[stop]} out of range for n={n}")
-    footprints: list[list[int]] = [[] for _ in range(stop)]
-    for u, step in enumerate(dominated_at):
-        if step:
-            footprints[step - 1].append(u)
-    return list(map(tuple, footprints)), n - dominated_at.count(0), -1
+            return footprints, pos
+        for u in footprint:
+            dominated[u] = 1
+        footprints.append(footprint)
+    return footprints, -1
 
 
 def check_closed_neighborhood_sequence(g: Graph, order: Sequence[int]) -> VertexSequence:
@@ -137,10 +132,9 @@ def check_closed_neighborhood_sequence(g: Graph, order: Sequence[int]) -> Vertex
     Raises IllegalStepError at the first position whose footprint is empty,
     DuplicateVertexError on a repeated vertex, InputError on a bad index.
     """
-    footprints, _, bad = _sweep(g, order, collect=True)
+    footprints, bad = _footprint_walk(g, order)
     if bad >= 0:
         raise IllegalStepError(bad, order[bad])
-    assert footprints is not None
     return VertexSequence(tuple(order), tuple(footprints))
 
 
@@ -154,8 +148,9 @@ def is_dominating_sequence(g: Graph, order: Sequence[int]) -> bool:
 
 def quick_verify(g: Graph, order: Sequence[int]) -> tuple[bool, bool]:
     """(legal, dominating) without materializing footprints."""
-    _, covered, bad = _sweep(g, order, collect=False)
-    if bad >= 0:
+    covered = _flag_walk(g, order)
+    if covered is None:
+        _footprint_walk(g, order)  # raises on a malformed order
         return False, False
     return True, covered == g.n
 

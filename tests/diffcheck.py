@@ -13,11 +13,13 @@ and without a budget of 20,000 nodes), renamed twin blow-ups, renamed
 chain profiles and their complements, `walk` (quick_verify,
 check_closed_neighborhood_sequence and is_dominating_sequence on seeded
 permutations and legal orders of shared-row chain graphs and G(n, p),
-each also with -1, n or a repeated entry inserted), both gadgets, cover and
-transversal with and without node budgets, rho_tau_values, `caps`
-(inputs at and past the exact search's size bound of 64 and past the
-gadget caps), and `solve` stdout (minus time_ms), stderr and exit code for
-every --method on graph files (`solve_caps` for the paths of `caps`).
+each also with -1, n or a repeated entry inserted), both gadgets, cover,
+transversal, rho_tau_values, `caps` (inputs at and past the exact
+search's size bound of 64 and past the gadget caps), and `solve` stdout
+(minus time_ms), stderr and exit code for every --method on graph files
+(`solve_caps` for the paths of `caps`). The `solve` family also runs
+`verify`, with and without --machine, on each file with the witness
+`solve --machine` printed and with that witness's last entry repeated.
 The `cli_args` family, a fixed list whatever COUNT is, compares the exit
 code, stdout and stderr of `sweep`, `gen` and `bench` with each option
 just past its limit or no integer, and of three small legal sweeps, the
@@ -189,6 +191,16 @@ def _run_cli(cli, argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _verify_orders(solve_stdout: str) -> list[tuple[str, list[str]]]:
+    """The witness `solve --machine` printed and the same witness with its
+    last entry repeated, or nothing when it printed none."""
+    for line in solve_stdout.splitlines():
+        if line.startswith("witness="):
+            order = line[len("witness="):].split()
+            return [("witness", order), ("witness with its last entry repeated", order + order[-1:])]
+    return []
+
+
 def _dump(src: str, count: int, ignore_nodes: bool) -> None:
     sys.path.insert(0, src)
     import grundy
@@ -253,13 +265,6 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
         label = f"H({h.n}, {h.m}, seed {seed})"
         emit("hypergraphs", "cover " + label, lambda: grundy.grundy_cover_exact(h))
         emit("hypergraphs", "transversal " + label, lambda: grundy.grundy_transversal_exact(h))
-        budget = 1 + rng.next_below(20)
-        emit("hypergraphs", f"cover budget {budget} " + label, lambda: grundy.grundy_cover_exact(h, node_budget=budget))
-        emit(
-            "hypergraphs",
-            f"transversal budget {budget} " + label,
-            lambda: grundy.grundy_transversal_exact(h, node_budget=budget),
-        )
         emit("hypergraphs", "rho_tau " + label, lambda: list(rho_tau_values(h)))
         if h.n <= 4 and h.m <= 4:
             gadget = grundy.hypergraph_to_bipartite(h)
@@ -291,6 +296,13 @@ def _dump(src: str, count: int, ignore_nodes: bool) -> None:
                     code, out, err = _run_cli(cli, ["solve", path, "--method", method, *extra])
                     stdout = "".join(line for line in out.splitlines(True) if not line.startswith("time_ms="))
                     print(json.dumps([family, f"solve --method {method} {' '.join(extra)} {label}", [code, stdout, err]]))
+            for name, order in _verify_orders(_run_cli(cli, ["solve", path, "--machine"])[1]):
+                seq_path = os.path.join(tmp, f"{i}.seq")
+                with open(seq_path, "w") as f:
+                    f.write(" ".join(order) + "\n")
+                for extra in ([], ["--machine"]):
+                    outcome = list(_run_cli(cli, ["verify", path, seq_path, *extra]))
+                    print(json.dumps([file_family, f"verify {' '.join(extra)} {name} of {label}", outcome]))
         out = os.path.join(tmp, "gen.out")
         for argv in _cli_args(out):
             label = " ".join(argv).replace(out, "OUT")

@@ -107,6 +107,8 @@ class TestSubsetOrdering:
         # not reachable from a legal sequence; the diagnostic still answers
         g = star_graph(2)
         assert not check_subset_ordering(g, [0, 1])
+        # closed twins: N[1] equals N[0], so the order is refused either way
+        assert check_subset_ordering(complete_graph(2), [0, 1]) is False
 
 
 def seeded_graphs(max_n=10):
@@ -250,6 +252,19 @@ class TestWalkMemory:
         finally:
             tracemalloc.stop()
         assert peak < 12 * g.n
+
+    def test_footprint_walk_keeps_only_footprints(self):
+        # a flag table and each step's footprint, built as the step is
+        # walked: no step number per vertex and no second pass
+        g = chain_from_profile(bench_profile(2**18))
+        order = grundy_chain(recognize_chain(g)).order
+        tracemalloc.start()
+        try:
+            assert check_closed_neighborhood_sequence(g, order).covered() == g.n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * g.n
 
 
 class TestRederivation:
